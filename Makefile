@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic verify clean
+.PHONY: all build test race vet lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic perfbench-smoke verify clean
 
 all: build
 
@@ -124,11 +124,13 @@ bench-service:
 	$(GO) test -run '^$$' -bench 'BenchmarkService' -benchmem -benchtime=20000x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_service.json
 	@cat BENCH_service.json
 
-# Soak benchmark (100k- and 1M-request streaming replays) recorded as
-# machine-readable JSON. Each op is itself a long internally-averaged
-# run, so -benchtime=1x is correct here: benchjson accepts the
-# single-iteration results because they carry custom metrics (req/s,
-# peak-heap-bytes), which are the figures that matter.
+# Soak benchmark (streaming replays along two axes: 100k and 1M requests
+# on the 256-node plant, and 2k- and 16k-node plants at a rate scaled
+# with the plant) recorded as machine-readable JSON. Each op is itself a
+# long internally-averaged run, so -benchtime=1x is correct here:
+# benchjson accepts the single-iteration results because they carry
+# custom metrics (req/s, peak-heap-bytes), which are the figures that
+# matter.
 bench-soak:
 	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchtime=1x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
 	@cat BENCH_soak.json
@@ -140,11 +142,19 @@ bench-elastic:
 	$(GO) test -run '^$$' -bench 'BenchmarkPlaceDelta' -benchmem -benchtime=100x -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_elastic.json
 	@cat BENCH_elastic.json
 
-# CI's short arm: only the 100k-request soak (the 1M arm skips under
-# -short), same JSON artifact shape.
+# CI's short arm: the 100k-request and 2k-node soaks (the 1M-request
+# and 16k-node arms skip under -short), same JSON artifact shape.
 bench-soak-short:
 	$(GO) test -run '^$$' -bench 'BenchmarkSoak' -benchtime=1x -short -timeout 30m . | $(GO) run ./cmd/benchjson > BENCH_soak.json
 	@cat BENCH_soak.json
+
+# The repository benchmark's own smoke test (perfbench is a module of
+# its own, so `go test ./...` at the root does not build it): every
+# workload runs at smoke size and its metrics, span file and digest
+# checks are asserted. It compiles against internal APIs, so this is
+# the check that an internal change has not broken it.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # The pre-merge gate: build, vet, lint, full tests, and the race detector.
 verify: build vet lint test race

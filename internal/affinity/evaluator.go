@@ -333,7 +333,7 @@ func (e *DistanceEvaluator) AddPreview(q topology.NodeID) (float64, topology.Nod
 // RemovePreview prices the hypothetical removal of one VM from node p:
 // the exact DC(C) and central node the cluster would have without that
 // VM, computed without mutating the evaluator. It is the shrink
-// planner's victim probe (placement.ReleaseSubset tries every hosting
+// planner's victim probe (placement.ReleaseSubsetSparse tries every hosting
 // node for each VM it must give back); it panics when p hosts no VM.
 // Removing the last VM yields (0, -1), matching Distance on an empty
 // cluster.

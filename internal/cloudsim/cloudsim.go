@@ -248,6 +248,9 @@ type Simulator struct {
 	tidx   *affinity.TierIndex
 	sp     affinity.SparseAlloc
 	spd    affinity.SparseAlloc // grow-delta scratch, distinct from sp
+	// dc prices DC(C) of a running cluster from its cells (departures,
+	// shrinks, and placements that arrive without their DC).
+	dc affinity.CellsDistance
 
 	// Elastic resize state: resolved config and the per-cluster resize
 	// lifecycle records (nil map when elastic mode is off).
@@ -259,11 +262,7 @@ type Simulator struct {
 	serve *service.Service
 
 	arrivals map[model.RequestID]float64
-	running  map[int]affinity.Allocation // live clusters by registry ID
-	reqOf    map[int]model.TimedRequest  // registry ID → original request
-	departEv map[int]*eventsim.Event     // registry ID → scheduled departure
-	slot     map[int]int                 // registry ID → index into Distances/Waits (RetainSamples only)
-	samples  map[int]servedSample        // registry ID → rollback record, O(active)
+	running  map[int]*cluster // live clusters by registry ID, O(active)
 	nextRun  int
 	metrics  Metrics
 
@@ -338,11 +337,7 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 		global:          &placement.GlobalSubOpt{Obs: cfg.Obs},
 		mig:             &migration.Planner{Config: cfg.Migration, Obs: cfg.Obs},
 		arrivals:        make(map[model.RequestID]float64),
-		running:         make(map[int]affinity.Allocation),
-		reqOf:           make(map[int]model.TimedRequest),
-		departEv:        make(map[int]*eventsim.Event),
-		slot:            make(map[int]int),
-		samples:         make(map[int]servedSample),
+		running:         make(map[int]*cluster),
 		pendingRecovery: make(map[model.RequestID]float64),
 	}
 	sk := cfg.Sketch.withDefaults()
@@ -491,11 +486,25 @@ func (s *Simulator) Run(reqs []model.TimedRequest) (m *Metrics, err error) {
 	return s.finish()
 }
 
-// servedSample is the per-active-cluster record needed to roll a served
-// cluster back out of the metrics when a fault tears it down. Unlike the
-// retained slices it is deleted at departure, so fault recovery stays
-// O(active) at any trace length.
-type servedSample struct{ d, wait float64 }
+// cluster is one running virtual cluster. Its matrix C is kept as cells:
+// the non-zero cells in row-major (node, type) order with no duplicate
+// and no zero cell (affinity.Canonicalize's form), and vms caches their
+// sum. Every path that changes a running cluster — grow, shrink, fault
+// degradation and evacuation, migration moves — edits the cells in
+// place, so no runtime path materializes the n×m matrix.
+type cluster struct {
+	req      model.TimedRequest
+	cells    []affinity.VMEntry
+	vms      int
+	departEv *eventsim.Event
+	// dc and wait are the samples observed at commission, kept to roll
+	// the cluster back out of the metrics when a fault tears it down;
+	// slot indexes Metrics.Distances/Waits (RetainSamples only). All
+	// leave with the cluster, so fault recovery stays O(active) at any
+	// trace length.
+	dc, wait float64
+	slot     int
+}
 
 // RunStream replays requests pulled lazily from src — a trace.Reader, a
 // workload.OpenLoop, or any model.RequestSource — holding exactly one
@@ -705,8 +714,8 @@ func (s *Simulator) place(r model.TimedRequest, now float64) bool {
 			}
 			return false
 		}
-		sp := affinity.SparseAlloc{NumNodes: s.topo.Nodes(), NumTypes: len(r.Vector), Entries: pl.Entries}
-		s.commission(r, sp.ToDense(), pl.DC, pl.Center, now)
+		// The placement's entries are the caller's to keep.
+		s.commission(r, affinity.Canonicalize(pl.Entries), pl.DC, pl.Center, now)
 		return true
 	}
 	if s.tidx != nil && len(r.Vector) == s.tidx.Types() {
@@ -723,7 +732,7 @@ func (s *Simulator) place(r model.TimedRequest, now float64) bool {
 			}
 			return false
 		}
-		s.commission(r, s.sp.ToDense(), d, center, now)
+		s.commission(r, affinity.Canonicalize(slices.Clone(s.sp.Entries)), d, center, now)
 		return true
 	}
 	alloc, err := s.placer.Place(s.topo, s.inv.Remaining(), r.Vector)
@@ -733,36 +742,50 @@ func (s *Simulator) place(r model.TimedRequest, now float64) bool {
 		}
 		return false
 	}
-	if err := s.inv.Allocate([][]int(alloc)); err != nil {
+	if err := s.commitDense(r, alloc, now); err != nil {
 		if !errors.Is(err, inventory.ErrInsufficient) {
 			s.fail(fmt.Errorf("cloudsim: allocating request %d: %w", r.ID, err))
 		}
 		return false
 	}
-	d, center := alloc.Distance(s.topo)
-	s.commission(r, alloc, d, center, now)
 	return true
 }
 
-// commission records a served cluster and schedules its departure. The
-// caller supplies the cluster's data center distance and central node —
-// the sparse path gets them from the placement itself instead of
-// recomputing over the dense matrix.
-func (s *Simulator) commission(r model.TimedRequest, alloc affinity.Allocation, d float64, center topology.NodeID, now float64) {
+// commitDense commits a placement that arrives as a matrix (a generic
+// Placer's, or one of PlaceBatch's), converting it to cells once at this
+// boundary, and commissions the cluster priced from those cells.
+func (s *Simulator) commitDense(r model.TimedRequest, alloc affinity.Allocation, now float64) error {
+	cells := alloc.Sparse()
+	if err := s.inv.AllocateList(cells); err != nil {
+		return err
+	}
+	d, center := s.dc.Distance(s.topo, cells)
+	s.commission(r, cells, d, center, now)
+	return nil
+}
+
+// commission records a served cluster, which takes ownership of its
+// canonical cells, and schedules its departure. The caller supplies the
+// cluster's data center distance and central node — the placer already
+// priced them.
+func (s *Simulator) commission(r model.TimedRequest, cells []affinity.VMEntry, d float64, center topology.NodeID, now float64) {
+	vms := 0
+	for _, e := range cells {
+		vms += e.Count
+	}
 	s.sampleUtilization(now)
-	s.usedSlots += alloc.TotalVMs()
+	s.usedSlots += vms
 	wait := now - s.arrivals[r.ID]
 	delete(s.arrivals, r.ID)
 	s.metrics.Served++
 	id := s.nextRun
 	s.nextRun++
-	s.running[id] = alloc
-	s.reqOf[id] = r
-	s.samples[id] = servedSample{d: d, wait: wait}
+	c := &cluster{req: r, cells: cells, vms: vms, dc: d, wait: wait}
+	s.running[id] = c
 	s.metrics.DistanceSketch.Observe(d)
 	s.metrics.WaitSketch.Observe(wait)
 	if s.cfg.RetainSamples {
-		s.slot[id] = len(s.metrics.Distances)
+		c.slot = len(s.metrics.Distances)
 		s.metrics.Distances = append(s.metrics.Distances, d)
 		s.metrics.Waits = append(s.metrics.Waits, wait)
 	}
@@ -776,7 +799,7 @@ func (s *Simulator) commission(r model.TimedRequest, alloc affinity.Allocation, 
 		obs.F("req", int(r.ID)),
 		obs.F("center", int(center)),
 		obs.F("dc", d),
-		obs.F("vms", alloc.TotalVMs()),
+		obs.F("vms", vms),
 		obs.F("wait", wait))
 	if failAt, ok := s.pendingRecovery[r.ID]; ok {
 		// A cluster torn down by a failure is back in service.
@@ -794,7 +817,7 @@ func (s *Simulator) commission(r model.TimedRequest, alloc affinity.Allocation, 
 		s.fail(fmt.Errorf("cloudsim: scheduling departure of cluster %d: %w", id, err))
 		return
 	}
-	s.departEv[id] = ev
+	c.departEv = ev
 	if s.elastic != nil {
 		// The map phase starts now: open the cluster's resize lifecycle.
 		s.requestGrow(id, r, now)
@@ -803,24 +826,20 @@ func (s *Simulator) commission(r model.TimedRequest, alloc affinity.Allocation, 
 
 func (s *Simulator) depart(id int, now float64) {
 	s.cancelElastic(id, now, "departed")
-	alloc := s.running[id]
+	c := s.running[id]
 	delete(s.running, id)
-	delete(s.departEv, id)
-	delete(s.slot, id)
-	delete(s.samples, id)
 	s.sampleUtilization(now)
-	s.usedSlots -= alloc.TotalVMs()
-	d, _ := alloc.Distance(s.topo)
+	s.usedSlots -= c.vms
+	d, _ := s.dc.Distance(s.topo, c.cells)
 	s.metrics.FinalDistanceSum += d
 	s.om.running.Set(float64(len(s.running)))
 	s.om.usedSlots.Set(float64(s.usedSlots))
-	s.cfg.Obs.Emit("depart", now, obs.F("req", int(s.reqOf[id].ID)), obs.F("dc", d))
-	delete(s.reqOf, id)
+	s.cfg.Obs.Emit("depart", now, obs.F("req", int(c.req.ID)), obs.F("dc", d))
 	var err error
 	if s.serve != nil {
-		err = s.serve.Release(alloc.Sparse())
+		err = s.serve.Release(c.cells)
 	} else {
-		err = s.inv.Release([][]int(alloc))
+		err = s.inv.ReleaseList(c.cells)
 	}
 	if err != nil {
 		// A release failure means the simulator corrupted its own
@@ -842,7 +861,7 @@ func (s *Simulator) depart(id int, now float64) {
 
 // migrate tightens the running clusters into freed capacity. Relocations
 // are reflected in the inventory with Move; swaps are capacity-neutral
-// and need no inventory change.
+// and need no inventory change. Applied moves edit the clusters' cells.
 func (s *Simulator) migrate(now float64) {
 	if len(s.running) == 0 {
 		return
@@ -853,11 +872,13 @@ func (s *Simulator) migrate(now float64) {
 	}
 	// Deterministic order for reproducibility.
 	slices.Sort(ids)
-	clusters := make([]affinity.Allocation, len(ids))
+	clusters := make([]*cluster, len(ids))
+	cells := make([][]affinity.VMEntry, len(ids))
 	for i, id := range ids {
 		clusters[i] = s.running[id]
+		cells[i] = clusters[i].cells
 	}
-	plan, err := s.mig.Plan(s.topo, s.inv.RemainingView(), clusters)
+	plan, err := s.mig.PlanCells(s.topo, s.inv.RemainingView(), cells)
 	if err != nil || len(plan.Moves) == 0 {
 		return
 	}
@@ -875,14 +896,10 @@ func (s *Simulator) migrate(now float64) {
 					obs.F("error", err.Error()))
 				return
 			}
-			c.Remove(mv.From, mv.Type)
-			c.Add(mv.To, mv.Type)
+			c.moveVM(mv.From, mv.To, mv.Type)
 		case migration.Swap:
-			peer := clusters[mv.Peer]
-			c.Remove(mv.From, mv.Type)
-			c.Add(mv.To, mv.Type)
-			peer.Remove(mv.To, mv.Type)
-			peer.Add(mv.From, mv.Type)
+			c.moveVM(mv.From, mv.To, mv.Type)
+			clusters[mv.Peer].moveVM(mv.To, mv.From, mv.Type)
 		}
 		s.metrics.Migrations++
 		s.metrics.MigrationMB += mv.CostMB
@@ -896,6 +913,24 @@ func (s *Simulator) migrate(now float64) {
 			obs.F("gain", mv.Gain),
 			obs.F("cost_mb", mv.CostMB))
 	}
+}
+
+// moveVM relocates one VM of type vt from node from to node to.
+func (c *cluster) moveVM(from, to topology.NodeID, vt model.VMTypeID) {
+	c.cells = affinity.AddCell(c.cells, from, vt, -1)
+	c.cells = affinity.AddCell(c.cells, to, vt, 1)
+}
+
+// addCells merges delta (positive counts add VMs, negative remove them)
+// into the cluster's cells and returns the VM-count change.
+func (c *cluster) addCells(delta []affinity.VMEntry, sign int) int {
+	n := 0
+	for _, e := range delta {
+		c.cells = affinity.AddCell(c.cells, e.Node, e.Type, sign*e.Count)
+		n += e.Count
+	}
+	c.vms += sign * n
+	return n
 }
 
 // drain admits whatever the queue can serve with the freed resources.
@@ -922,12 +957,9 @@ func (s *Simulator) drain(now float64) {
 					s.requeue(taken[i], now)
 					continue
 				}
-				if err := s.inv.Allocate([][]int(alloc)); err != nil {
+				if err := s.commitDense(taken[i], alloc, now); err != nil {
 					s.requeue(taken[i], now)
-					continue
 				}
-				d, center := alloc.Distance(s.topo)
-				s.commission(taken[i], alloc, d, center, now)
 			}
 			return
 		}

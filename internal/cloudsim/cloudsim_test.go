@@ -436,8 +436,8 @@ func TestCorruptedReleaseReturnsError(t *testing.T) {
 	// resources behind the simulator's back, so the departure's own
 	// release no longer fits.
 	if _, err := sim.engine.At(5, func(float64) {
-		for _, alloc := range sim.running {
-			if err := sim.inv.Release([][]int(alloc)); err != nil {
+		for _, c := range sim.running {
+			if err := sim.inv.ReleaseList(c.cells); err != nil {
 				t.Errorf("test corruption release: %v", err)
 			}
 		}

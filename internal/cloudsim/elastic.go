@@ -11,7 +11,7 @@
 // rejected outright; grows that do not currently fit — or that would
 // starve requests waiting in the queue — are deferred with a fixed
 // backoff and expire once retrying can no longer pay off. A served grow
-// schedules the shrink at the boundary: placement.ReleaseSubset picks
+// schedules the shrink at the boundary: placement.ReleaseSubsetSparse picks
 // the DC-minimizing victims (not necessarily the VMs the grow added),
 // returns them to the inventory, and offers the freed capacity to the
 // wait queue like any departure.
@@ -142,10 +142,9 @@ func (s *Simulator) rejectGrow(id int, req model.RequestID, now float64, reason 
 // or the delta does not fit, it is deferred instead.
 func (s *Simulator) tryGrow(id int, now float64) {
 	st := s.elastic[id]
-	alloc := s.running[id]
-	r := s.reqOf[id]
+	c := s.running[id]
 	if s.queue.Len() == 0 {
-		dc, center, err := s.online.PlaceDeltaSparse(s.tidx, alloc.Sparse(), st.growVec, &s.spd)
+		dc, center, err := s.online.PlaceDeltaSparse(s.tidx, c.cells, st.growVec, &s.spd)
 		if err == nil {
 			if aerr := s.inv.AllocateList(s.spd.Entries); aerr != nil {
 				if !errors.Is(aerr, inventory.ErrInsufficient) {
@@ -156,11 +155,7 @@ func (s *Simulator) tryGrow(id int, now float64) {
 			}
 		}
 		if err == nil {
-			added := 0
-			for _, e := range s.spd.Entries {
-				alloc[e.Node][e.Type] += e.Count
-				added += e.Count
-			}
+			added := c.addCells(s.spd.Entries, 1)
 			s.sampleUtilization(now)
 			s.usedSlots += added
 			st.grown = true
@@ -169,7 +164,7 @@ func (s *Simulator) tryGrow(id int, now float64) {
 			s.om.grows.Inc()
 			s.om.usedSlots.Set(float64(s.usedSlots))
 			s.cfg.Obs.Emit("resize_grow", now,
-				obs.F("req", int(r.ID)),
+				obs.F("req", int(c.req.ID)),
 				obs.F("cluster", id),
 				obs.F("vms", added),
 				obs.F("center", int(center)),
@@ -200,7 +195,7 @@ func (s *Simulator) deferGrow(id int, now float64) {
 		return
 	}
 	s.cfg.Obs.Emit("resize_defer", now,
-		obs.F("req", int(s.reqOf[id].ID)),
+		obs.F("req", int(s.running[id].req.ID)),
 		obs.F("cluster", id),
 		obs.F("retry", retryAt))
 	ev, err := s.engine.At(retryAt, func(at float64) {
@@ -220,7 +215,7 @@ func (s *Simulator) expireGrow(id int, now float64, reason string) {
 	s.metrics.Deferred++
 	s.om.growDeferred.Inc()
 	s.cfg.Obs.Emit("resize_expire", now,
-		obs.F("req", int(s.reqOf[id].ID)),
+		obs.F("req", int(s.running[id].req.ID)),
 		obs.F("cluster", id),
 		obs.F("reason", reason))
 	delete(s.elastic, id)
@@ -236,8 +231,8 @@ func (s *Simulator) shrink(id int, now float64) {
 	}
 	st := s.elastic[id]
 	st.shrinkEv = nil
-	alloc := s.running[id]
-	victims, err := placement.ReleaseSubset(s.topo, alloc, st.growVec)
+	c := s.running[id]
+	victims, err := placement.ReleaseSubsetSparse(s.topo, c.cells, st.growVec)
 	if err != nil {
 		s.fail(fmt.Errorf("cloudsim: shrinking cluster %d at t=%v: %w", id, now, err))
 		return
@@ -248,18 +243,15 @@ func (s *Simulator) shrink(id int, now float64) {
 		s.fail(fmt.Errorf("cloudsim: releasing shrink of cluster %d at t=%v: %w", id, now, err))
 		return
 	}
-	removed := 0
-	for _, e := range victims {
-		removed += e.Count
-	}
+	removed := c.addCells(victims, -1)
 	s.sampleUtilization(now)
 	s.usedSlots -= removed
 	s.metrics.Shrinks++
 	s.om.shrinks.Inc()
 	s.om.usedSlots.Set(float64(s.usedSlots))
-	d, _ := alloc.Distance(s.topo)
+	d, _ := s.dc.Distance(s.topo, c.cells)
 	s.cfg.Obs.Emit("resize_shrink", now,
-		obs.F("req", int(s.reqOf[id].ID)),
+		obs.F("req", int(c.req.ID)),
 		obs.F("cluster", id),
 		obs.F("vms", removed),
 		obs.F("dc", d))

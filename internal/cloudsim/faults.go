@@ -76,36 +76,34 @@ func (s *Simulator) crash(ev faults.Event, now float64) {
 // evacuation when the survivors can be topped up from residual
 // capacity, whole-cluster re-placement otherwise.
 func (s *Simulator) degrade(id int, dead []topology.NodeID, now float64) {
-	alloc := s.running[id]
-	lostVec := make(model.Request, len(alloc[0]))
+	c := s.running[id]
+	lostVec := make(model.Request, s.inv.Types())
 	lostVMs := 0
-	for _, n := range dead {
-		for j, c := range alloc[n] {
-			lostVec[j] += c
-			lostVMs += c
+	kept := c.cells[:0]
+	for _, e := range c.cells {
+		if slices.Contains(dead, e.Node) {
+			lostVec[e.Type] += e.Count
+			lostVMs += e.Count
+			continue
 		}
+		kept = append(kept, e)
 	}
 	if lostVMs == 0 {
 		return
 	}
-	for _, n := range dead {
-		for j := range alloc[n] {
-			alloc[n][j] = 0
-		}
-	}
+	c.cells = kept
+	c.vms -= lostVMs
 	s.usedSlots -= lostVMs
 	s.metrics.LostVMs += lostVMs
-	survivors := alloc.TotalVMs()
-	r := s.reqOf[id]
 	s.cfg.Obs.Emit("degraded", now,
-		obs.F("req", int(r.ID)),
+		obs.F("req", int(c.req.ID)),
 		obs.F("cluster", id),
 		obs.F("lost", lostVMs),
-		obs.F("survivors", survivors))
-	if survivors > 0 {
-		repl, err := migration.PlanReplacement(s.topo, s.inv.RemainingView(), alloc, lostVec)
+		obs.F("survivors", c.vms))
+	if c.vms > 0 {
+		repl, err := migration.PlanReplacement(s.topo, s.inv.RemainingView(), c.cells, lostVec)
 		if err == nil {
-			s.evacuate(id, alloc, repl, lostVMs, now)
+			s.evacuate(id, c, repl, now)
 			return
 		}
 		if !errors.Is(err, migration.ErrNoCapacity) {
@@ -119,22 +117,17 @@ func (s *Simulator) degrade(id int, dead []topology.NodeID, now float64) {
 // evacuate commits a replacement plan: the new VMs are allocated and
 // merged into the running cluster, which keeps its identity, departure
 // time, and served sample.
-func (s *Simulator) evacuate(id int, alloc, repl affinity.Allocation, lostVMs int, now float64) {
-	if err := s.inv.Allocate([][]int(repl)); err != nil {
+func (s *Simulator) evacuate(id int, c *cluster, repl []affinity.VMEntry, now float64) {
+	if err := s.inv.AllocateList(repl); err != nil {
 		s.fail(fmt.Errorf("cloudsim: allocating evacuation of cluster %d: %w", id, err))
 		return
 	}
-	for n := range repl {
-		for j, c := range repl[n] {
-			alloc[n][j] += c
-		}
-	}
-	s.usedSlots += lostVMs
+	s.usedSlots += c.addCells(repl, 1)
 	s.metrics.Evacuations++
 	s.om.evacuations.Inc()
 	s.om.recoverySeconds.Observe(0)
 	s.cfg.Obs.Emit("recover", now,
-		obs.F("req", int(s.reqOf[id].ID)),
+		obs.F("req", int(c.req.ID)),
 		obs.F("method", "evacuate"),
 		obs.F("delay", 0.0))
 }
@@ -145,14 +138,12 @@ func (s *Simulator) evacuate(id int, alloc, repl affinity.Allocation, lostVMs in
 // arrival time, so a re-serve reports the true total wait).
 func (s *Simulator) teardown(id int, now float64) {
 	s.cancelElastic(id, now, "teardown")
-	alloc := s.running[id]
-	r := s.reqOf[id]
-	s.engine.Cancel(s.departEv[id])
-	delete(s.departEv, id)
+	c := s.running[id]
+	r := c.req
+	s.engine.Cancel(c.departEv)
 	delete(s.running, id)
-	delete(s.reqOf, id)
-	s.usedSlots -= alloc.TotalVMs()
-	if err := s.inv.Release([][]int(alloc)); err != nil {
+	s.usedSlots -= c.vms
+	if err := s.inv.ReleaseList(c.cells); err != nil {
 		s.om.releaseFailures.Inc()
 		s.cfg.Obs.Emit("release_failure", now, obs.F("cluster", id), obs.F("error", err.Error()))
 		s.fail(fmt.Errorf("cloudsim: release of torn-down cluster %d at t=%v failed: %w", id, now, err))
@@ -164,20 +155,17 @@ func (s *Simulator) teardown(id int, now float64) {
 	// exact floats observed at commission, so the rollback is O(active)
 	// with or without retained slices (and the retained-slice surgery,
 	// which touches every later slot, only runs in retained mode).
-	rec := s.samples[id]
-	delete(s.samples, id)
 	s.metrics.Served--
-	s.metrics.TotalDistance -= rec.d
-	s.metrics.DistanceSketch.Remove(rec.d)
-	s.metrics.WaitSketch.Remove(rec.wait)
+	s.metrics.TotalDistance -= c.dc
+	s.metrics.DistanceSketch.Remove(c.dc)
+	s.metrics.WaitSketch.Remove(c.wait)
 	if s.cfg.RetainSamples {
-		idx := s.slot[id]
-		delete(s.slot, id)
+		idx := c.slot
 		s.metrics.Distances = slices.Delete(s.metrics.Distances, idx, idx+1)
 		s.metrics.Waits = slices.Delete(s.metrics.Waits, idx, idx+1)
-		for cid, sl := range s.slot {
-			if sl > idx {
-				s.slot[cid] = sl - 1
+		for _, o := range s.running {
+			if o.slot > idx {
+				o.slot--
 			}
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/metrics"
 
 	"affinitycluster/internal/cloudsim"
 	"affinitycluster/internal/faults"
@@ -45,8 +46,8 @@ type SoakConfig struct {
 	Recovery cloudsim.RecoveryConfig
 	// Sketch bounds the streaming wait/distance quantile sketches.
 	Sketch cloudsim.SketchConfig
-	// MemEvery samples the Go heap every N pulled requests to report the
-	// replay's peak footprint (0 = 4096; negative disables sampling).
+	// MemEvery samples the live Go heap every N pulled requests to report
+	// the replay's peak footprint (0 = 4096; negative disables sampling).
 	MemEvery int
 	// Trace receives the run's event trace as JSONL, streamed event by
 	// event (never retained). Nil streams to io.Discard, so the run is
@@ -88,9 +89,9 @@ type SoakResult struct {
 	Events int
 	// Requests and Nodes echo the scenario size.
 	Requests, Nodes int
-	// PeakHeapBytes is the largest sampled Go heap during the replay
-	// (0 when sampling is disabled) — the number that demonstrates the
-	// O(active) memory claim at any trace length.
+	// PeakHeapBytes is the largest sampled live Go heap during the
+	// replay (0 when sampling is disabled) — the number that demonstrates
+	// the O(active) memory claim at any trace length.
 	PeakHeapBytes uint64
 }
 
@@ -150,7 +151,7 @@ func Soak(seed int64, cfg SoakConfig) (*SoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &heapPeakSource{src: gen, every: cfg.MemEvery}
+	src := &heapPeakSource{src: gen, every: cfg.MemEvery, live: []metrics.Sample{{Name: "/gc/heap/live:bytes"}}}
 	if src.every == 0 {
 		src.every = 4096
 	}
@@ -172,21 +173,27 @@ func Soak(seed int64, cfg SoakConfig) (*SoakResult, error) {
 }
 
 // heapPeakSource decorates a request source, sampling the live Go heap
-// every `every` pulls. ReadMemStats stops the world, so the stride keeps
-// the overhead negligible while still catching the replay's plateau.
+// every `every` pulls: it collects, then reads /gc/heap/live:bytes — the
+// heap that collection marked live. HeapAlloc, read without collecting,
+// also counts garbage not yet swept, and the live metric alone is only as
+// fresh as the last cycle the pacer happened to run; on a sub-MiB replay
+// heap either reading tracks GC pacing more than the replay's footprint.
+// One collection of an O(active) heap per stride is negligible next to
+// the requests between samples.
 type heapPeakSource struct {
 	src   model.RequestSource
 	every int
 	n     int
 	peak  uint64
+	live  []metrics.Sample
 }
 
 func (h *heapPeakSource) Next() (model.TimedRequest, bool, error) {
 	if h.every > 0 && h.n%h.every == 0 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc > h.peak {
-			h.peak = ms.HeapAlloc
+		runtime.GC()
+		metrics.Read(h.live)
+		if v := h.live[0].Value.Uint64(); v > h.peak {
+			h.peak = v
 		}
 	}
 	h.n++

@@ -137,3 +137,41 @@ func TestSoakMemoryBounded(t *testing.T) {
 		t.Errorf("peak heap grew %.2f× for an 8× longer trace; replay is not O(active)", ratio)
 	}
 }
+
+// TestSoakHeapPlantSize is the same claim along the plant-size axis. A
+// 2,048-node soak, its arrival rate scaled with the plant so both run at
+// the default utilization, holds 8× the plant state and 8× the running
+// clusters of the 256-node soak, so an O(plant + active) replay may grow
+// its peak live heap up to 8× (it measures ~4×: ~0.4 → ~1.6 MiB). Keeping
+// an n×m matrix per running cluster makes the growth quadratic — ~20×
+// (15 → 316 MiB) before running clusters became sparse.
+func TestSoakHeapPlantSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plant-size soak skipped in -short")
+	}
+	run := func(racks, nodesPerRack int) *SoakResult {
+		cfg := DefaultSoakConfig()
+		cfg.Requests = 20_000
+		cfg.MemEvery = 512
+		cfg.Racks, cfg.NodesPerRack = racks, nodesPerRack
+		cfg.Workload.BaseRate *= float64(cfg.Clouds*racks*nodesPerRack) / 256
+		runtime.GC()
+		res, err := Soak(2012, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	small := run(8, 16)
+	large := run(16, 64)
+	if small.PeakHeapBytes == 0 || large.PeakHeapBytes == 0 {
+		t.Fatal("heap peaks not sampled")
+	}
+	ratio := float64(large.PeakHeapBytes) / float64(small.PeakHeapBytes)
+	t.Logf("peak live heap: %d nodes → %.2f MiB, %d nodes → %.2f MiB (ratio %.2f)",
+		small.Nodes, float64(small.PeakHeapBytes)/(1<<20),
+		large.Nodes, float64(large.PeakHeapBytes)/(1<<20), ratio)
+	if plants := float64(large.Nodes) / float64(small.Nodes); ratio > plants {
+		t.Errorf("peak live heap grew %.2f× for a %.0f× larger plant; running clusters are not O(cells)", ratio, plants)
+	}
+}

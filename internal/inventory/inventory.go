@@ -33,6 +33,7 @@ type Inventory struct {
 	alloc   [][]int // C (aggregate over all tenants)
 	remain  [][]int // L = M − C, kept incrementally
 	avail   []int   // A_j = Σ_i L_ij, kept incrementally
+	total   []int   // Σ_i M_ij, kept incrementally
 	version uint64  // bumps on every successful mutation
 	// failed maps a failed node to its saved pre-failure capacity row;
 	// FailNode populates it, RestoreNode consumes it.
@@ -58,6 +59,7 @@ func New(nodes, types int) *Inventory {
 		alloc:  newMatrix(nodes, types),
 		remain: newMatrix(nodes, types),
 		avail:  make([]int, types),
+		total:  make([]int, types),
 	}
 	return inv
 }
@@ -80,6 +82,7 @@ func NewFromMatrix(max [][]int) (*Inventory, error) {
 			inv.max[i][j] = k
 			inv.remain[i][j] = k
 			inv.avail[j] += k
+			inv.total[j] += k
 		}
 	}
 	return inv, nil
@@ -134,6 +137,7 @@ func (inv *Inventory) SetCapacity(node topology.NodeID, vt model.VMTypeID, k int
 	inv.max[i][j] = k
 	inv.remain[i][j] = k - inv.alloc[i][j]
 	inv.avail[j] += k - old
+	inv.total[j] += k - old
 	inv.tixApply(node, vt, k-old)
 	inv.bumpLocked()
 	return nil
@@ -209,19 +213,16 @@ func (inv *Inventory) CanSatisfy(r model.Request) bool {
 
 // CanEverSatisfy reports whether the request fits the total plant capacity
 // R_j ≤ Σ_i M_ij; if not, the paper's model rejects it outright rather than
-// queueing it.
+// queueing it. The column totals are kept incrementally, so the check is
+// O(m), not a scan of M.
 func (inv *Inventory) CanEverSatisfy(r model.Request) bool {
 	inv.mu.RLock()
 	defer inv.mu.RUnlock()
 	if len(r) != inv.types {
 		return false
 	}
-	for j := range r {
-		total := 0
-		for i := 0; i < inv.nodes; i++ {
-			total += inv.max[i][j]
-		}
-		if r[j] > total {
+	for j, k := range r {
+		if k > inv.total[j] {
 			return false
 		}
 	}
@@ -360,6 +361,7 @@ func (inv *Inventory) FailNode(node topology.NodeID) ([]int, error) {
 			inv.tixDeltas[j] = -inv.remain[i][j]
 		}
 		inv.avail[j] -= inv.remain[i][j]
+		inv.total[j] -= inv.max[i][j]
 		inv.max[i][j] = 0
 		inv.alloc[i][j] = 0
 		inv.remain[i][j] = 0
@@ -391,6 +393,7 @@ func (inv *Inventory) RestoreNode(node topology.NodeID) error {
 		inv.max[i][j] = saved[j]
 		inv.remain[i][j] = saved[j]
 		inv.avail[j] += saved[j]
+		inv.total[j] += saved[j]
 		if inv.tidx != nil {
 			inv.tixDeltas[j] = saved[j]
 		}
@@ -422,13 +425,14 @@ func (inv *Inventory) Version() uint64 {
 }
 
 // CheckInvariants verifies the bookkeeping identities of Section II:
-// L = M − C, A_j = Σ_i L_ij, and 0 ≤ C ≤ M everywhere. It returns the
-// first violation found. The test suite and the simulators call this after
-// every mutation batch.
+// L = M − C, A_j = Σ_i L_ij, and 0 ≤ C ≤ M everywhere, plus the cached
+// capacity totals Σ_i M_ij. It returns the first violation found. The
+// test suite and the simulators call this after every mutation batch.
 func (inv *Inventory) CheckInvariants() error {
 	inv.mu.RLock()
 	defer inv.mu.RUnlock()
 	sums := make([]int, inv.types)
+	caps := make([]int, inv.types)
 	for i := 0; i < inv.nodes; i++ {
 		for j := 0; j < inv.types; j++ {
 			if inv.alloc[i][j] < 0 || inv.alloc[i][j] > inv.max[i][j] {
@@ -438,11 +442,15 @@ func (inv *Inventory) CheckInvariants() error {
 				return fmt.Errorf("inventory: L[%d][%d] = %d, want M−C = %d", i, j, inv.remain[i][j], inv.max[i][j]-inv.alloc[i][j])
 			}
 			sums[j] += inv.remain[i][j]
+			caps[j] += inv.max[i][j]
 		}
 	}
 	for j, s := range sums {
 		if inv.avail[j] != s {
 			return fmt.Errorf("inventory: A[%d] = %d, want Σ_i L_ij = %d", j, inv.avail[j], s)
+		}
+		if inv.total[j] != caps[j] {
+			return fmt.Errorf("inventory: capacity total %d of type %d, want Σ_i M_ij = %d", inv.total[j], j, caps[j])
 		}
 	}
 	return nil
@@ -464,6 +472,7 @@ func (inv *Inventory) Clone() *Inventory {
 		alloc:   cloneMatrix(inv.alloc),
 		remain:  cloneMatrix(inv.remain),
 		avail:   append([]int(nil), inv.avail...),
+		total:   append([]int(nil), inv.total...),
 		version: inv.version,
 	}
 	if len(inv.failed) > 0 {

@@ -408,6 +408,10 @@ func TestFailAndRestoreNode(t *testing.T) {
 	if got := inv.Available(); got[0] != 1 || got[1] != 1 {
 		t.Errorf("avail = %v, want [1 1]", got)
 	}
+	// The plant-capacity bound loses the failed node's row.
+	if inv.CanEverSatisfy(model.Request{2, 0}) || !inv.CanEverSatisfy(model.Request{1, 1}) {
+		t.Error("CanEverSatisfy does not track the failed node's lost capacity")
+	}
 	if failed := inv.FailedNodes(); len(failed) != 1 || failed[0] != 0 {
 		t.Errorf("FailedNodes = %v", failed)
 	}
@@ -426,6 +430,9 @@ func TestFailAndRestoreNode(t *testing.T) {
 	// The node comes back empty at full pre-failure capacity.
 	if inv.Capacity(0, 0) != 3 || inv.Capacity(0, 1) != 2 {
 		t.Error("capacity not restored")
+	}
+	if !inv.CanEverSatisfy(model.Request{4, 3}) || inv.CanEverSatisfy(model.Request{5, 0}) {
+		t.Error("CanEverSatisfy does not track the restored capacity")
 	}
 	if inv.Allocated(0, 0) != 0 {
 		t.Error("restored node should be empty")

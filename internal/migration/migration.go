@@ -132,16 +132,13 @@ func (p *Planner) memoryMB(types int, vt model.VMTypeID) float64 {
 
 // Plan computes an improving migration plan for the running clusters
 // against the residual capacity matrix. Neither input is mutated; use
-// Apply to realize a plan.
+// Apply to realize a plan. It is PlanCells over each matrix's non-zero
+// cells; a nil cluster stays absent from the plan.
 func (p *Planner) Plan(t *topology.Topology, residual [][]int, clusters []affinity.Allocation) (*Plan, error) {
 	if t == nil {
 		return nil, errors.New("migration: nil topology")
 	}
-	if len(residual) != t.Nodes() {
-		return nil, fmt.Errorf("migration: residual has %d rows, topology has %d nodes", len(residual), t.Nodes())
-	}
-	work := make([]affinity.Allocation, len(clusters))
-	evs := make([]*affinity.DistanceEvaluator, len(clusters))
+	cells := make([][]affinity.VMEntry, len(clusters))
 	for i, c := range clusters {
 		if c == nil {
 			continue
@@ -149,8 +146,42 @@ func (p *Planner) Plan(t *topology.Topology, residual [][]int, clusters []affini
 		if len(c) != t.Nodes() {
 			return nil, fmt.Errorf("migration: cluster %d has %d rows, topology has %d nodes", i, len(c), t.Nodes())
 		}
-		work[i] = c.Clone()
-		evs[i] = affinity.NewDistanceEvaluator(t, work[i])
+		cells[i] = c.Sparse()
+	}
+	return p.PlanCells(t, residual, cells)
+}
+
+// PlanCells is Plan over clusters given as sparse cells (any order; a
+// cluster with no cells takes no part). The planner's per-call working
+// copies — one n×m matrix per cluster, the free-capacity matrix, and one
+// evaluator per cluster — are built from the cells, so the cost of a call
+// does not depend on the caller's representation. Moves index clusters
+// by their position in the slice. Neither input is mutated.
+func (p *Planner) PlanCells(t *topology.Topology, residual [][]int, clusters [][]affinity.VMEntry) (*Plan, error) {
+	if t == nil {
+		return nil, errors.New("migration: nil topology")
+	}
+	if len(residual) != t.Nodes() {
+		return nil, fmt.Errorf("migration: residual has %d rows, topology has %d nodes", len(residual), t.Nodes())
+	}
+	types := len(residual[0])
+	work := make([]affinity.Allocation, len(clusters))
+	evs := make([]*affinity.DistanceEvaluator, len(clusters))
+	for i, c := range clusters {
+		if len(c) == 0 {
+			continue
+		}
+		work[i] = affinity.NewAllocation(t.Nodes(), types)
+		evs[i] = affinity.NewDistanceEvaluator(t, nil)
+		for _, e := range c {
+			if int(e.Node) < 0 || int(e.Node) >= t.Nodes() || int(e.Type) < 0 || int(e.Type) >= types || e.Count < 0 {
+				return nil, fmt.Errorf("migration: cluster %d has cell %+v outside the %dx%d plant", i, e, t.Nodes(), types)
+			}
+			if e.Count > 0 {
+				work[i][e.Node][e.Type] += e.Count
+				evs[i].AddVMs(e.Node, e.Count)
+			}
+		}
 	}
 	free := make([][]int, len(residual))
 	for i := range residual {
@@ -333,30 +364,38 @@ func (p *Planner) Apply(plan *Plan, clusters []affinity.Allocation, residual [][
 var ErrNoCapacity = errors.New("migration: insufficient residual capacity for replacement")
 
 // PlanReplacement is the evacuation half of fault recovery: a node
-// failure destroyed `lost[j]` VMs of each type j belonging to `cluster`
-// (whose rows for the dead nodes are already zeroed), and replacements
-// must be placed into the residual capacity. Each replacement VM goes to
-// the feasible node minimizing the cluster's resulting DC — the same
-// greedy single-VM step the planner's Relocate moves use, so evacuated
-// clusters land as tight as a migration pass would leave them. The scan
-// is deterministic (type-major, ascending node IDs, strict improvement
-// to switch), inputs are not mutated, and the returned matrix holds only
-// the replacement VMs so callers can Allocate it and merge it into the
-// cluster.
-func PlanReplacement(t *topology.Topology, residual [][]int, cluster affinity.Allocation, lost model.Request) (affinity.Allocation, error) {
+// failure destroyed `lost[j]` VMs of each type j belonging to the cluster
+// whose surviving cells are `cluster` (cells on the dead nodes already
+// dropped), and replacements must be placed into the residual capacity.
+// Each replacement VM goes to the feasible node minimizing the cluster's
+// resulting DC — the same greedy single-VM step the planner's Relocate
+// moves use, so evacuated clusters land as tight as a migration pass
+// would leave them. The scan is deterministic (type-major, ascending node
+// IDs, strict improvement to switch), inputs are not mutated, and the
+// returned cells — canonical, row-major — hold only the replacement VMs,
+// so callers can AllocateList them and merge them into the cluster.
+func PlanReplacement(t *topology.Topology, residual [][]int, cluster []affinity.VMEntry, lost model.Request) ([]affinity.VMEntry, error) {
 	if t == nil {
 		return nil, errors.New("migration: nil topology")
 	}
 	n := t.Nodes()
-	if len(residual) != n || len(cluster) != n {
-		return nil, fmt.Errorf("migration: residual has %d rows, cluster %d, topology %d nodes", len(residual), len(cluster), n)
+	if len(residual) != n {
+		return nil, fmt.Errorf("migration: residual has %d rows, topology has %d nodes", len(residual), n)
 	}
-	ev := affinity.NewDistanceEvaluator(t, cluster)
+	ev := affinity.NewDistanceEvaluator(t, nil)
+	for _, e := range cluster {
+		if int(e.Node) < 0 || int(e.Node) >= n {
+			return nil, fmt.Errorf("migration: cluster cell on node %d outside the %d-node plant", e.Node, n)
+		}
+		if e.Count > 0 {
+			ev.AddVMs(e.Node, e.Count)
+		}
+	}
 	free := make([][]int, n)
 	for i := range residual {
 		free[i] = append([]int(nil), residual[i]...)
 	}
-	repl := affinity.NewAllocation(n, len(lost))
+	var repl []affinity.VMEntry
 	for j, count := range lost {
 		for v := 0; v < count; v++ {
 			best := -1
@@ -375,7 +414,7 @@ func PlanReplacement(t *topology.Topology, residual [][]int, cluster affinity.Al
 			}
 			ev.Add(topology.NodeID(best))
 			free[best][j]--
-			repl[best][j]++
+			repl = affinity.AddCell(repl, topology.NodeID(best), model.VMTypeID(j), 1)
 		}
 	}
 	return repl, nil

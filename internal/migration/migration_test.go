@@ -3,6 +3,7 @@ package migration
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -306,10 +307,11 @@ func TestPlanReplacementPrefersClusterRack(t *testing.T) {
 	cluster[0][0] = 2
 	cluster[1][0] = 1
 	residual := [][]int{{0}, {0}, {1}, {1}, {0}, {0}}
-	repl, err := PlanReplacement(tp, residual, cluster, model.Request{1})
+	cells, err := PlanReplacement(tp, residual, cluster.Sparse(), model.Request{1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	repl := (&affinity.SparseAlloc{NumNodes: 6, NumTypes: 1, Entries: cells}).ToDense()
 	if repl[2][0] != 1 || repl.TotalVMs() != 1 {
 		t.Errorf("replacement = %v, want 1 VM on node 2", repl)
 	}
@@ -327,10 +329,14 @@ func TestPlanReplacementMultiVMAndNoCapacity(t *testing.T) {
 	cluster := affinity.NewAllocation(6, 2)
 	cluster[0][0] = 1
 	residual := [][]int{{0, 0}, {1, 1}, {1, 0}, {2, 2}, {0, 0}, {0, 0}}
-	repl, err := PlanReplacement(tp, residual, cluster, model.Request{2, 1})
+	cells, err := PlanReplacement(tp, residual, cluster.Sparse(), model.Request{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !slices.Equal(cells, affinity.Canonicalize(slices.Clone(cells))) {
+		t.Errorf("replacement cells %v not canonical", cells)
+	}
+	repl := (&affinity.SparseAlloc{NumNodes: 6, NumTypes: 2, Entries: cells}).ToDense()
 	if repl.TotalVMs() != 3 {
 		t.Fatalf("placed %d VMs, want 3", repl.TotalVMs())
 	}
@@ -347,7 +353,7 @@ func TestPlanReplacementMultiVMAndNoCapacity(t *testing.T) {
 	if repl[1][0]+repl[2][0] != 2 {
 		t.Errorf("type-0 replacements left the cluster rack: %v", repl)
 	}
-	if _, err := PlanReplacement(tp, residual, cluster, model.Request{9, 0}); !errors.Is(err, ErrNoCapacity) {
+	if _, err := PlanReplacement(tp, residual, cluster.Sparse(), model.Request{9, 0}); !errors.Is(err, ErrNoCapacity) {
 		t.Errorf("impossible replacement: %v", err)
 	}
 }

@@ -163,28 +163,15 @@ func (s *scanScratch) seedEntries(cur []affinity.VMEntry) {
 	}
 }
 
-// ReleaseSubset shrinks alloc by the per-type delta, choosing as victims
-// the VMs whose removal keeps DC(C) lowest: one VM at a time, the
-// hosting node with the best RemovePreview (ties toward the lowest node
-// ID, then the lowest type ID still owed). The victims are removed from
-// alloc in place and returned as aggregated sparse entries — a fresh
-// slice the caller may keep or hand to Inventory.ReleaseList. The call
-// fails, changing nothing, if alloc holds fewer VMs of some type than
-// delta asks back.
-func ReleaseSubset(t *topology.Topology, alloc affinity.Allocation, delta model.Request) ([]affinity.VMEntry, error) {
-	victims, err := ReleaseSubsetSparse(t, alloc.Sparse(), delta)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range victims {
-		alloc[e.Node][e.Type] -= e.Count
-	}
-	return victims, nil
-}
-
-// ReleaseSubsetSparse is ReleaseSubset over the cluster's sparse cells.
-// cur is only read; the returned entries alias neither cur nor any
-// internal state.
+// ReleaseSubsetSparse shrinks a cluster, given as its sparse cells cur,
+// by the per-type delta, choosing as victims the VMs whose removal keeps
+// DC(C) lowest: one VM at a time, the hosting node with the best
+// RemovePreview (ties toward the lowest node ID, then the lowest type ID
+// still owed). The victims come back as aggregated sparse entries — a
+// fresh slice the caller may keep or hand to Inventory.ReleaseList; it
+// aliases neither cur (which is only read) nor any internal state. The
+// call fails if the cluster holds fewer VMs of some type than delta asks
+// back.
 func ReleaseSubsetSparse(t *topology.Topology, cur []affinity.VMEntry, delta model.Request) ([]affinity.VMEntry, error) {
 	K := 0
 	for j, v := range delta {

@@ -192,13 +192,14 @@ func TestReleaseSubsetGreedyVictims(t *testing.T) {
 		delta := make(model.Request, m)
 		delta[j] = 1
 		got := a.Clone()
-		victims, err := ReleaseSubset(tp, got, delta)
+		victims, err := ReleaseSubsetSparse(tp, got.Sparse(), delta)
 		if err != nil {
-			t.Fatalf("trial %d: ReleaseSubset: %v", trial, err)
+			t.Fatalf("trial %d: ReleaseSubsetSparse: %v", trial, err)
 		}
 		if len(victims) != 1 || victims[0].Count != 1 || victims[0].Type != model.VMTypeID(j) {
 			t.Fatalf("trial %d: single-VM shrink returned %v", trial, victims)
 		}
+		got.Remove(victims[0].Node, victims[0].Type)
 		gotDC, _ := got.Distance(tp)
 		if gotDC != bestDC {
 			t.Fatalf("trial %d: greedy victim %v leaves DC %v, best single removal (node %d) leaves %v",
@@ -220,12 +221,13 @@ func TestReleaseSubsetConservesAndConcentrates(t *testing.T) {
 	a[1][0] = 2
 	a[4][0] = 1
 	a[8][0] = 1
-	victims, err := ReleaseSubset(tp, a, model.Request{2})
+	victims, err := ReleaseSubsetSparse(tp, a.Sparse(), model.Request{2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
 	for _, v := range victims {
+		a[v.Node][v.Type] -= v.Count
 		total += v.Count
 		if v.Node != 4 && v.Node != 8 {
 			t.Errorf("shrink victimized core node %d instead of a straggler", v.Node)
@@ -242,7 +244,7 @@ func TestReleaseSubsetConservesAndConcentrates(t *testing.T) {
 		t.Fatalf("post-shrink DC (%v, %d), want (%v, 0)", dc, k, want)
 	}
 	// Infeasible shrink: asks back more than the cluster holds.
-	if _, err := ReleaseSubset(tp, a, model.Request{7}); err == nil {
+	if _, err := ReleaseSubsetSparse(tp, a.Sparse(), model.Request{7}); err == nil {
 		t.Fatal("oversized shrink accepted")
 	}
 }

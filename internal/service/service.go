@@ -309,7 +309,7 @@ func (s *Service) Grow(entries []affinity.VMEntry, delta model.Request) (Placeme
 
 // Shrink gives back delta VMs per type from a previously committed
 // cluster, picking the DC(C)-minimizing victims
-// (placement.ReleaseSubset), and wakes whatever queued placements the
+// (placement.ReleaseSubsetSparse), and wakes whatever queued placements the
 // freed capacity now fits. It returns the victim entries — the caller
 // must subtract them from its record of the cluster. entries is only
 // read and must not be mutated until the call returns.

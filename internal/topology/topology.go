@@ -77,32 +77,6 @@ type Topology struct {
 	// center scan, which walks clouds then racks instead of nodes.
 	cloudRacks [][]int
 	racksByLow []int
-	// flat is the materialized row-major n×n distance table, so the hot
-	// Distance path is an array load instead of rack/cloud branch logic.
-	// It is nil above flatTableMaxNodes, where the O(n²) memory would
-	// outweigh the lookup savings.
-	flat []float64
-}
-
-// flatTableMaxNodes caps the plant size for which the flattened distance
-// table is materialized (4096² float64 = 128 MiB). Larger plants fall back
-// to the tiered branch computation.
-const flatTableMaxNodes = 4096
-
-// buildFlat fills t.flat for plants small enough to materialize.
-func (t *Topology) buildFlat() {
-	n := len(t.nodes)
-	if n > flatTableMaxNodes {
-		return
-	}
-	flat := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		row := flat[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			row[j] = t.tierDistance(NodeID(i), NodeID(j))
-		}
-	}
-	t.flat = flat
 }
 
 // Builder accumulates racks and nodes, then produces a Topology.
@@ -184,7 +158,6 @@ func (b *Builder) Build() (*Topology, error) {
 		t.rackNodes[n.Rack] = append(t.rackNodes[n.Rack], n.ID)
 	}
 	t.buildRackCloud()
-	t.buildFlat()
 	return t, nil
 }
 
@@ -297,18 +270,11 @@ func (t *Topology) RacksByLowestNode() []int { return t.racksByLow }
 // Distances returns the tier constants of the topology.
 func (t *Topology) Distances() Distances { return t.dist }
 
-// Distance returns D[a][b], the distance between two nodes. It is symmetric
-// and Distance(a, a) equals the SameNode tier (0 in the paper).
+// Distance returns D[a][b], the distance between two nodes, from the
+// rack/cloud tiers. It is symmetric and Distance(a, a) equals the
+// SameNode tier (0 in the paper). No n×n table is kept: the runtime paths
+// price DC(C) from per-rack and per-cloud aggregates instead.
 func (t *Topology) Distance(a, b NodeID) float64 {
-	if t.flat != nil {
-		return t.flat[int(a)*len(t.nodes)+int(b)]
-	}
-	return t.tierDistance(a, b)
-}
-
-// tierDistance computes D[a][b] from the rack/cloud tiers without
-// consulting the flattened table.
-func (t *Topology) tierDistance(a, b NodeID) float64 {
 	switch {
 	case a == b:
 		return t.dist.SameNode
@@ -321,19 +287,12 @@ func (t *Topology) tierDistance(a, b NodeID) float64 {
 	}
 }
 
-// DistanceRow returns the row D[a][·] of the distance matrix. For plants
-// with a materialized flat table the returned slice aliases it and must not
-// be modified; larger plants get a freshly computed row.
-//
-//lint:shared documented read-only view of the immutable flat table
+// DistanceRow returns a freshly computed row D[a][·] of the distance
+// matrix.
 func (t *Topology) DistanceRow(a NodeID) []float64 {
-	n := len(t.nodes)
-	if t.flat != nil {
-		return t.flat[int(a)*n : (int(a)+1)*n]
-	}
-	row := make([]float64, n)
+	row := make([]float64, len(t.nodes))
 	for j := range row {
-		row[j] = t.tierDistance(a, NodeID(j))
+		row[j] = t.Distance(a, NodeID(j))
 	}
 	return row
 }
@@ -455,7 +414,6 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 				i, n.Rack, n.Cloud, built.rackCloud[n.Rack])
 		}
 	}
-	built.buildFlat()
 	*t = *built
 	return nil
 }

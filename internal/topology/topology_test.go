@@ -260,21 +260,39 @@ func TestDistanceConcurrentReads(t *testing.T) {
 	}
 }
 
+// tierRule is Definition 1 read off the node descriptors alone, so the
+// tests below check Distance and DistanceRow against an independent oracle
+// rather than against the rackOf/cloudOf indexes they are computed from.
+func tierRule(d Distances) func(a, b Node) float64 {
+	return func(a, b Node) float64 {
+		switch {
+		case a.ID == b.ID:
+			return d.SameNode
+		case a.Cloud != b.Cloud:
+			return d.CrossCloud
+		case a.Rack != b.Rack:
+			return d.CrossRack
+		}
+		return d.SameRack
+	}
+}
+
+// TestFlatTableMatchesTierDistance: no n×n table is kept, and every
+// Distance and DistanceRow value on a multi-cloud plant equals the tier
+// rule for that pair.
 func TestFlatTableMatchesTierDistance(t *testing.T) {
 	tp, err := Uniform(2, 3, 5, DefaultDistances())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tp.flat == nil {
-		t.Fatal("flat table not materialized for a 30-node plant")
-	}
+	rule := tierRule(tp.Distances())
 	for i := 0; i < tp.Nodes(); i++ {
 		row := tp.DistanceRow(NodeID(i))
 		if len(row) != tp.Nodes() {
 			t.Fatalf("row %d has length %d", i, len(row))
 		}
 		for j := 0; j < tp.Nodes(); j++ {
-			want := tp.tierDistance(NodeID(i), NodeID(j))
+			want := rule(tp.Node(NodeID(i)), tp.Node(NodeID(j)))
 			if got := tp.Distance(NodeID(i), NodeID(j)); got != want {
 				t.Errorf("Distance(%d,%d) = %v, want %v", i, j, got, want)
 			}
@@ -285,6 +303,9 @@ func TestFlatTableMatchesTierDistance(t *testing.T) {
 	}
 }
 
+// TestFlatTableSurvivesJSONRoundTrip: a decoded topology rebuilds its
+// rack/cloud indexes, so every distance is unchanged across a round trip
+// and still equals the tier rule.
 func TestFlatTableSurvivesJSONRoundTrip(t *testing.T) {
 	tp, err := Uniform(1, 2, 3, DefaultDistances())
 	if err != nil {
@@ -298,27 +319,39 @@ func TestFlatTableSurvivesJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.flat == nil {
-		t.Fatal("decoded topology lost the flat distance table")
+	if back.Nodes() != tp.Nodes() {
+		t.Fatalf("decoded %d nodes, want %d", back.Nodes(), tp.Nodes())
 	}
+	rule := tierRule(back.Distances())
 	for i := 0; i < tp.Nodes(); i++ {
 		for j := 0; j < tp.Nodes(); j++ {
-			if back.Distance(NodeID(i), NodeID(j)) != tp.Distance(NodeID(i), NodeID(j)) {
+			got := back.Distance(NodeID(i), NodeID(j))
+			if got != tp.Distance(NodeID(i), NodeID(j)) {
 				t.Fatalf("distance (%d,%d) changed across round trip", i, j)
+			}
+			if want := rule(back.Node(NodeID(i)), back.Node(NodeID(j))); got != want {
+				t.Fatalf("decoded Distance(%d,%d) = %v, want %v", i, j, got, want)
 			}
 		}
 	}
 }
 
+// TestDistanceRowWithoutFlatTable: DistanceRow on the paper plant is a
+// fresh row computed from the tiers; it matches the tier rule and writing
+// to it does not change later reads.
 func TestDistanceRowWithoutFlatTable(t *testing.T) {
 	tp := PaperSimPlant()
-	saved := tp.flat
-	tp.flat = nil // simulate a plant above flatTableMaxNodes
-	defer func() { tp.flat = saved }()
+	rule := tierRule(tp.Distances())
 	row := tp.DistanceRow(3)
 	for j := range row {
-		if row[j] != tp.tierDistance(3, NodeID(j)) {
-			t.Fatalf("fallback row entry %d = %v", j, row[j])
+		if want := rule(tp.Node(3), tp.Node(NodeID(j))); row[j] != want {
+			t.Fatalf("row entry %d = %v, want %v", j, row[j], want)
+		}
+		row[j] = -1
+	}
+	for j, v := range tp.DistanceRow(3) {
+		if v != tp.Distance(3, NodeID(j)) {
+			t.Fatalf("row entry %d = %v after the caller wrote to an earlier row", j, v)
 		}
 	}
 }
