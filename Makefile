@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race vet lint lint-tools lint-fixtures lint-json fuzz-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic perfbench-smoke verify clean
+.PHONY: all build test race vet lint lint-tools lint-fixtures lint-json fuzz-smoke examples-smoke faults-race service-race soak-race elastic-race bench bench-hot bench-json bench-churn bench-service bench-soak bench-soak-short bench-elastic perfbench-smoke verify clean
 
 all: build
 
@@ -54,11 +54,20 @@ lint-json:
 	@cat LINT.json
 
 # Native fuzz targets, ~10s each: topology JSON import (reject or
-# round-trip, never panic) and Algorithm 1 placement (capacity respected,
-# evaluator DC(C) matches the row-scan oracle).
+# round-trip, never panic), Algorithm 1 placement (capacity respected,
+# evaluator DC(C) matches the row-scan oracle), and service op sequences
+# (the service agrees op by op with a sequential inventory+placer replay).
 fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzServiceOps$$' -fuzztime 10s
+
+# Run every examples/* program end to end; each finishes in seconds.
+# `go build ./...` only compiles them.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Fault-injection gate: the fault/recovery tests under the race detector
 # plus one seeded end-to-end faults figure, so every recovery path runs

@@ -84,7 +84,7 @@ type Config struct {
 	// must be the indexed online heuristic, and the simulator keeps its
 	// own wait queue — Topology, Inventory, Online, QueueCap, Ordered,
 	// GlobalOpt, and Obs in the supplied config are overridden, so only
-	// the batching knobs (BatchSize, MaxWait, IntakeCap) matter here. A
+	// the batching knobs (BatchSize, IntakeCap) matter here. A
 	// served run is byte-identical to a direct one: metrics, registry
 	// snapshot, and event trace all match (pinned by TestServeParity).
 	Serve *service.Config

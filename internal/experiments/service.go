@@ -31,8 +31,8 @@ type ServingConfig struct {
 	QueueCap int
 	// Arrival shapes the arrival/holding process.
 	Arrival workload.ArrivalConfig
-	// Serve carries the service's batching knobs (BatchSize, MaxWait,
-	// IntakeCap); the simulator overrides everything else.
+	// Serve carries the service's batching knobs (BatchSize, IntakeCap);
+	// the simulator overrides everything else.
 	Serve service.Config
 }
 

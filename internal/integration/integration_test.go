@@ -1,6 +1,6 @@
 // Package integration ties the subsystems together end to end: the tests
-// here cross module boundaries on purpose — provisioning through the core
-// facade and executing MapReduce on the provisioned cluster, replaying
+// here cross module boundaries on purpose — provisioning through the
+// placement service and executing MapReduce on the provisioned cluster, replaying
 // recorded traces through the cloud simulator, and placing on topologies
 // inferred from latency probes.
 package integration
@@ -11,7 +11,6 @@ import (
 
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/cloudsim"
-	"affinitycluster/internal/core"
 	"affinitycluster/internal/dfs"
 	"affinitycluster/internal/eventsim"
 	"affinitycluster/internal/inventory"
@@ -21,6 +20,7 @@ import (
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/probing"
 	"affinitycluster/internal/sdexact"
+	"affinitycluster/internal/service"
 	"affinitycluster/internal/topology"
 	"affinitycluster/internal/trace"
 	"affinitycluster/internal/vcluster"
@@ -73,30 +73,36 @@ func TestProvisionThenExecute(t *testing.T) {
 		caps[i] = []int{2}
 	}
 	req := model.Request{8}
-	catalog := model.Catalog{{Name: "worker", MemoryGB: 4, ComputeUnits: 2, StorageGB: 100, Platform: "64-bit"}}
 
-	provAffine, err := core.NewProvisioner(topo, caps, core.Options{Catalog: catalog})
+	// The provider places the affine cluster through the service.
+	inv, err := inventory.NewFromMatrix(caps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	affine, err := provAffine.Provision(req)
+	svc, err := service.New(service.Config{Topology: topo, Inventory: inv, QueueCap: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	provBlind, err := core.NewProvisioner(topo, caps, core.Options{Strategy: core.RoundRobin, Catalog: catalog})
+	placed, err := svc.Place(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blind, err := provBlind.Provision(req)
+	affine := (&affinity.SparseAlloc{NumNodes: topo.Nodes(), NumTypes: len(req), Entries: placed.Entries}).ToDense()
+	// The affinity-blind baseline stripes the same request across an
+	// untouched copy of the plant.
+	blind, err := placement.RoundRobinStripe{}.Place(topo, caps, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if affine.PairwiseAffinity() >= blind.PairwiseAffinity() {
+	if !affine.Satisfies(req) || !blind.Satisfies(req) {
+		t.Fatalf("clusters do not match the request: %v, %v", affine, blind)
+	}
+	if affine.PairwiseAffinity(topo) >= blind.PairwiseAffinity(topo) {
 		t.Fatalf("affinity-aware cluster not tighter: %v vs %v",
-			affine.PairwiseAffinity(), blind.PairwiseAffinity())
+			affine.PairwiseAffinity(topo), blind.PairwiseAffinity(topo))
 	}
-	cAffine := runJobOn(t, topo, affine.Alloc)
-	cBlind := runJobOn(t, topo, blind.Alloc)
+	cAffine := runJobOn(t, topo, affine)
+	cBlind := runJobOn(t, topo, blind)
 	if cAffine.Runtime >= cBlind.Runtime {
 		t.Errorf("affinity-aware cluster not faster: %.2fs vs %.2fs", cAffine.Runtime, cBlind.Runtime)
 	}
@@ -104,10 +110,10 @@ func TestProvisionThenExecute(t *testing.T) {
 		t.Errorf("affinity-aware cluster shuffles more cross-rack: %v vs %v",
 			cAffine.ShuffleRemoteMB, cBlind.ShuffleRemoteMB)
 	}
-	if err := affine.Release(); err != nil {
+	if err := svc.Release(placed.Entries); err != nil {
 		t.Fatal(err)
 	}
-	if err := blind.Release(); err != nil {
+	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

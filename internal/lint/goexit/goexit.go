@@ -10,7 +10,7 @@
 // internal/lint/callgraph):
 //
 //   - a comma-ok channel receive (v, ok := <-ch) — the close-protocol
-//     read used by the service batcher;
+//     read of the service apply loop's intake drain;
 //   - a range loop over a channel — terminates when the channel closes;
 //   - a call (usually deferred) to (*sync.WaitGroup).Done — the bounded
 //     fan-out shape of experiments' worker pools;

@@ -3,20 +3,19 @@
 // the online placer, and the wait queue, and serves placement and release
 // requests from many concurrent callers.
 //
-// Requests enter through a bounded intake channel and are coalesced by a
-// batcher goroutine, which flushes the pending batch once it reaches
-// BatchSize or MaxWait after the first request (with MaxWait zero the
-// batcher flushes opportunistically the moment the intake runs dry, so
-// lone synchronous callers are never delayed). A single apply goroutine —
-// the only writer the inventory ever sees — commits each batch: it is the
-// one place RemainingView and the attached TierIndex may be read, which is
-// what makes their lock-free aliasing safe (see the inventory package
-// comment; the race-mode hammer test pins this). Every request carries its
-// own response channel and the submitting caller blocks until the apply
-// loop answers it.
+// Requests enter through a bounded intake channel read by one apply
+// goroutine. It blocks for one request, then takes whatever else is
+// already waiting, up to BatchSize, without blocking again — so lone
+// synchronous callers are never delayed while concurrent bursts still
+// coalesce. The apply goroutine is the only writer the inventory ever
+// sees: it is the one place RemainingView and the attached TierIndex may
+// be read, which is what makes their lock-free aliasing safe (see the
+// inventory package comment; the race-mode hammer test pins this). Every
+// request carries its own response channel and the submitting caller
+// blocks until the apply loop answers it.
 //
-// Two orderings are offered. In the default (unordered) mode the batcher
-// stamps requests with arrival sequence numbers and the apply loop serves
+// Two orderings are offered. In the default (unordered) mode the apply
+// loop stamps requests with arrival sequence numbers and serves
 // them in that order — the production mode, deterministic within a run but
 // dependent on caller scheduling. In Ordered mode callers assign the
 // sequence numbers themselves (contiguous from zero, each exactly once)
@@ -33,7 +32,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"affinitycluster/internal/affinity"
 	"affinitycluster/internal/inventory"
@@ -60,13 +58,9 @@ type Config struct {
 	// Online is the per-request placer; it must use ScanAllCenters (the
 	// indexed scan). Nil gets a fresh default placer wired to Obs.
 	Online *placement.OnlineHeuristic
-	// BatchSize is the coalescing flush threshold (0 = 32).
+	// BatchSize caps how many already-waiting requests the apply loop
+	// takes from the intake as one batch (0 = 32).
 	BatchSize int
-	// MaxWait bounds how long the first request of a batch waits for
-	// company. Zero means no timer: the batcher flushes as soon as the
-	// intake is momentarily empty, which serves synchronous callers with
-	// no added latency while still coalescing concurrent bursts.
-	MaxWait time.Duration
 	// IntakeCap bounds the intake channel (0 = 256). Submitters block
 	// once the intake is full — admission back-pressure, not rejection.
 	IntakeCap int
@@ -159,20 +153,17 @@ type Service struct {
 	sp     affinity.SparseAlloc // apply-loop scratch
 
 	intake chan *op
-	applyC chan []*op
 	done   chan struct{}
 
 	closeMu sync.RWMutex
 	closed  bool
-
-	// batcher-owned state.
-	arrSeq uint64
 
 	// apply-loop-owned state.
 	wait     *queue.Queue
 	waiters  map[uint64]*op // seq → op parked in the wait queue
 	park     map[uint64]*op // Ordered mode reorder buffer: seq → early op
 	applySeq uint64         // Ordered mode: next seq to apply
+	arrSeq   uint64         // unordered mode: next arrival seq
 
 	stOps, stBatches, stMaxBatch           atomic.Uint64
 	stPlaced, stReleased                   atomic.Uint64
@@ -187,8 +178,8 @@ type Service struct {
 }
 
 // New validates the configuration, attaches a tier index to the
-// inventory, and starts the batcher and apply goroutines. The returned
-// service must be Closed to release them.
+// inventory, and starts the apply goroutine. The returned service must be
+// Closed to release it.
 //
 //lint:owner singlewriter
 func New(cfg Config) (*Service, error) {
@@ -226,7 +217,6 @@ func New(cfg Config) (*Service, error) {
 		global:  &placement.GlobalSubOpt{Online: online, Obs: cfg.Obs},
 		tidx:    tidx,
 		intake:  make(chan *op, cfg.IntakeCap),
-		applyC:  make(chan []*op),
 		done:    make(chan struct{}),
 		waiters: make(map[uint64]*op),
 		park:    make(map[uint64]*op),
@@ -240,17 +230,17 @@ func New(cfg Config) (*Service, error) {
 	s.mQueued = cfg.Obs.Counter("service.queued")
 	s.mRejected = cfg.Obs.Counter("service.rejected")
 	s.mDC = cfg.Obs.Histogram("service.dc", 0, 200, 20)
-	go s.batcher()
 	go s.applyLoop()
 	return s, nil
 }
 
 // Place provisions one virtual cluster, blocking until the service commits
 // (or refuses) it. The request vector must span the inventory's full type
-// dimension. When the cluster does not currently fit and the wait queue is
-// enabled, the call blocks until a release frees enough capacity; with the
-// queue disabled or full it fails with placement.ErrInsufficient (test
-// with errors.Is).
+// dimension and have no negative entry (Place and Grow refuse one that
+// does with an error other than ErrInsufficient). When the cluster does
+// not currently fit and the wait queue is enabled, the call blocks until
+// a release frees enough capacity; with the queue disabled or full it
+// fails with placement.ErrInsufficient (test with errors.Is).
 func (s *Service) Place(r model.Request) (Placement, error) {
 	if s.cfg.Ordered {
 		return Placement{}, errors.New("service: ordered service requires PlaceAt")
@@ -337,8 +327,8 @@ func (s *Service) Stats() Stats {
 }
 
 // Close stops intake, drains every in-flight operation, fails still-parked
-// ones with ErrClosed (in ascending seq order), and waits for both service
-// goroutines to exit. Closing twice returns ErrClosed.
+// ones with ErrClosed (in ascending seq order), and waits for the apply
+// goroutine to exit. Closing twice returns ErrClosed.
 func (s *Service) Close() error {
 	s.closeMu.Lock()
 	if s.closed {
@@ -354,7 +344,7 @@ func (s *Service) Close() error {
 
 // roundTrip submits one op and blocks for its answer. The RLock spans the
 // intake send so Close cannot close the channel under a blocked sender;
-// Close's Lock waits, and the batcher keeps draining the intake, so the
+// Close's Lock waits, and the apply loop keeps draining the intake, so the
 // send always completes.
 func (s *Service) roundTrip(o *op) (Placement, error) {
 	o.done = make(chan result, 1)
@@ -369,106 +359,71 @@ func (s *Service) roundTrip(o *op) (Placement, error) {
 	return r.p, r.err
 }
 
-// batcher coalesces intake ops into batches for the apply loop: flush at
-// BatchSize, at MaxWait after the batch's first op, or — with no timer —
-// the moment the intake runs dry.
-func (s *Service) batcher() {
-	defer close(s.applyC)
-	var (
-		pending []*op
-		timer   *time.Timer
-		timerC  <-chan time.Time
-	)
-	flush := func() {
-		if timer != nil {
-			timer.Stop()
-			timer, timerC = nil, nil
-		}
-		if len(pending) == 0 {
-			return
-		}
-		s.stBatches.Add(1)
-		if n := uint64(len(pending)); n > s.stMaxBatch.Load() {
-			s.stMaxBatch.Store(n)
-		}
-		s.applyC <- pending
-		pending = nil
-	}
-	for {
-		var (
-			o  *op
-			ok bool
-		)
-		switch {
-		case len(pending) == 0:
-			o, ok = <-s.intake
-		case s.cfg.MaxWait <= 0:
-			select {
-			case o, ok = <-s.intake:
-			default:
-				flush()
-				continue
-			}
-		default:
-			if timerC == nil {
-				timer = time.NewTimer(s.cfg.MaxWait)
-				timerC = timer.C
-			}
-			select {
-			case o, ok = <-s.intake:
-			case <-timerC:
-				timer, timerC = nil, nil
-				flush()
-				continue
-			}
-		}
-		if !ok {
-			flush()
-			return
-		}
-		if !s.cfg.Ordered {
-			o.seq = s.arrSeq
-			s.arrSeq++
-		}
-		pending = append(pending, o)
-		if len(pending) >= s.cfg.BatchSize {
-			flush()
-		}
-	}
-}
-
-// applyLoop is the inventory's single writer: it commits batches in order,
-// then fails whatever is still parked once the batcher exits.
+// applyLoop is the inventory's single writer. It blocks for one op, takes
+// whatever else is already waiting in the intake (up to BatchSize) as the
+// same batch, and commits the batch in order; once the intake closes it
+// fails whatever is still parked.
 //
 //lint:owner singlewriter
 func (s *Service) applyLoop() {
 	defer close(s.done)
-	for batch := range s.applyC {
-		switch {
-		case s.cfg.Ordered:
-			for _, o := range batch {
-				s.park[o.seq] = o
-			}
-			for {
-				o, ready := s.park[s.applySeq]
-				if !ready {
-					break
+	batch := make([]*op, 0, s.cfg.BatchSize)
+	for o := range s.intake {
+		batch = append(batch[:0], o)
+	drain:
+		for len(batch) < s.cfg.BatchSize {
+			select {
+			case next, ok := <-s.intake:
+				if !ok {
+					break drain
 				}
-				delete(s.park, s.applySeq)
-				s.applySeq++
-				s.applyOp(o)
-			}
-		case s.cfg.GlobalOpt:
-			s.applyBatchGlobal(batch)
-		default:
-			for _, o := range batch {
-				s.applyOp(o)
+				batch = append(batch, next)
+			default:
+				break drain
 			}
 		}
-		s.stOps.Add(uint64(len(batch)))
+		s.applyBatch(batch)
 	}
 	s.failAll(s.park)
 	s.failAll(s.waiters)
+}
+
+// applyBatch commits one batch: in seq order through the reorder buffer
+// (Ordered), or stamped with arrival seqs and served with Algorithm 2 over
+// runs of placements (GlobalOpt) or op by op.
+func (s *Service) applyBatch(batch []*op) {
+	s.stBatches.Add(1)
+	if n := uint64(len(batch)); n > s.stMaxBatch.Load() {
+		s.stMaxBatch.Store(n)
+	}
+	if !s.cfg.Ordered {
+		for _, o := range batch {
+			o.seq = s.arrSeq
+			s.arrSeq++
+		}
+	}
+	switch {
+	case s.cfg.Ordered:
+		for _, o := range batch {
+			s.park[o.seq] = o
+		}
+		for {
+			o, ready := s.park[s.applySeq]
+			if !ready {
+				break
+			}
+			delete(s.park, s.applySeq)
+			s.applySeq++
+			s.applyOp(o)
+		}
+	case s.cfg.GlobalOpt:
+		s.applyBatchGlobal(batch)
+	default:
+		for _, o := range batch {
+			s.applyOp(o)
+		}
+	}
+	s.stOps.Add(uint64(len(batch)))
 }
 
 // failAll answers every parked op with ErrClosed, in ascending seq order
@@ -502,6 +457,10 @@ func (s *Service) applyOp(o *op) {
 // then an O(entries) commit. Only ErrInsufficient means "does not fit";
 // anything else is reported to the caller as a hard error.
 func (s *Service) applyPlace(o *op) {
+	if !nonNegative(o.req) {
+		o.done <- result{err: fmt.Errorf("service: request %d: negative entry in %v", o.seq, o.req)}
+		return
+	}
 	dc, center, err := s.online.PlaceSparse(s.tidx, o.req, &s.sp)
 	if err != nil {
 		if errors.Is(err, placement.ErrInsufficient) {
@@ -524,6 +483,10 @@ func (s *Service) applyPlace(o *op) {
 // they are deadline-driven at the caller, so "does not fit" is answered
 // immediately with ErrInsufficient.
 func (s *Service) applyGrow(o *op) {
+	if !nonNegative(o.req) {
+		o.done <- result{err: fmt.Errorf("service: grow %d: negative entry in %v", o.seq, o.req)}
+		return
+	}
 	dc, center, err := s.online.PlaceDeltaSparse(s.tidx, o.entries, o.req, &s.sp)
 	if err != nil {
 		o.done <- result{err: fmt.Errorf("service: grow %d: %w", o.seq, err)}
@@ -544,6 +507,19 @@ func (s *Service) applyGrow(o *op) {
 		obs.F("center", int(center)),
 		obs.F("dc", dc))
 	o.done <- result{p: Placement{Seq: o.seq, Entries: append([]affinity.VMEntry(nil), s.sp.Entries...), DC: dc, Center: center}}
+}
+
+// nonNegative reports whether no entry of a request vector is negative.
+// The placer would serve such a vector as its positive part and report
+// success, so the apply loop refuses it; a zero-total vector is accepted,
+// as on the direct placer path.
+func nonNegative(r model.Request) bool {
+	for _, v := range r {
+		if v < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // applyShrink releases the DC-minimizing victims of a live cluster and
@@ -570,18 +546,20 @@ func (s *Service) applyShrink(o *op) {
 
 // applyBatchGlobal serves a batch with Algorithm 2 over each maximal run
 // of consecutive placements, falling back to per-request placement for
-// singletons and runs the batch placer refuses. Planning against
-// RemainingView is safe here: plan and commit both live on the single
-// writer, so no mutation can interleave.
+// singletons and runs the batch placer refuses; a placement with a
+// negative entry stays out of the runs and is refused alone. Planning
+// against RemainingView is safe here: plan and commit both live on the
+// single writer, so no mutation can interleave.
 func (s *Service) applyBatchGlobal(batch []*op) {
+	runnable := func(o *op) bool { return o.kind == opPlace && nonNegative(o.req) }
 	for i := 0; i < len(batch); {
-		if batch[i].kind != opPlace {
+		if !runnable(batch[i]) {
 			s.applyOp(batch[i])
 			i++
 			continue
 		}
 		j := i
-		for j < len(batch) && batch[j].kind == opPlace {
+		for j < len(batch) && runnable(batch[j]) {
 			j++
 		}
 		run := batch[i:j]

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -207,7 +208,6 @@ func TestServiceGlobalOpt(t *testing.T) {
 		Topology: topo, Inventory: inv,
 		GlobalOpt: true,
 		BatchSize: 8,
-		MaxWait:   2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -267,11 +267,10 @@ func runOrderedTrace(t *testing.T, workers int, reqs []model.Request) []byte {
 		Topology: topo, Inventory: inv,
 		Ordered:  true,
 		QueueCap: -1,
-		// A tiny batch size plus timer flushes maximizes batch-boundary
-		// variety across concurrency levels — exactly what the guarantee
-		// says must not matter.
+		// A tiny batch size cuts the drained intake into many batches
+		// whose boundaries shift with the client count and scheduling —
+		// exactly what the guarantee says must not matter.
 		BatchSize: 4,
-		MaxWait:   100 * time.Microsecond,
 		Obs:       reg,
 	})
 	if err != nil {
@@ -469,4 +468,108 @@ func entriesTotal(entries []affinity.VMEntry) int {
 		n += e.Count
 	}
 	return n
+}
+
+// TestServiceRejectsNegativeEntries pins request validation on the apply
+// loop: a vector with a negative entry is refused with a hard error (not
+// ErrInsufficient), commits nothing, and moves no outcome counter — only
+// the op and batch tallies of the one lone call. In Ordered mode the
+// refused op still consumes its seq.
+func TestServiceRejectsNegativeEntries(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		call func(svc *Service, held []affinity.VMEntry) error
+	}{
+		{"place", Config{QueueCap: -1}, func(svc *Service, _ []affinity.VMEntry) error {
+			_, err := svc.Place(model.Request{-1, 2})
+			return err
+		}},
+		{"place-negative-total", Config{}, func(svc *Service, _ []affinity.VMEntry) error {
+			_, err := svc.Place(model.Request{-3, 0})
+			return err
+		}},
+		{"place-global-opt", Config{GlobalOpt: true}, func(svc *Service, _ []affinity.VMEntry) error {
+			_, err := svc.Place(model.Request{2, -1})
+			return err
+		}},
+		{"place-at", Config{Ordered: true, QueueCap: -1}, func(svc *Service, _ []affinity.VMEntry) error {
+			_, err := svc.PlaceAt(1, model.Request{-1, 2})
+			return err
+		}},
+		{"grow", Config{QueueCap: -1}, func(svc *Service, held []affinity.VMEntry) error {
+			_, err := svc.Grow(held, model.Request{-1, 0})
+			return err
+		}},
+		{"shrink", Config{QueueCap: -1}, func(svc *Service, held []affinity.VMEntry) error {
+			_, err := svc.Shrink(held, model.Request{-1, 1})
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, inv := plant(t, 2, 2)
+			cfg := tc.cfg
+			cfg.Topology, cfg.Inventory = topo, inv
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			// One held cluster gives Grow and Shrink something to resize.
+			var held Placement
+			if cfg.Ordered {
+				held, err = svc.PlaceAt(0, model.Request{2, 1})
+			} else {
+				held, err = svc.Place(model.Request{2, 1})
+			}
+			if err != nil {
+				t.Fatalf("Place: %v", err)
+			}
+			avail, st := inv.Available(), svc.Stats()
+			err = tc.call(svc, held.Entries)
+			if err == nil || errors.Is(err, placement.ErrInsufficient) {
+				t.Fatalf("err = %v, want a hard refusal", err)
+			}
+			if got := inv.Available(); !slices.Equal(got, avail) {
+				t.Fatalf("Available = %v after refusal, want %v", got, avail)
+			}
+			want := st
+			want.Ops++
+			want.Batches++
+			if got := svc.Stats(); got != want {
+				t.Fatalf("stats = %+v after refusal, want %+v", got, want)
+			}
+			if err := inv.CheckInvariants(); err != nil {
+				t.Fatalf("CheckInvariants: %v", err)
+			}
+			if err := inv.TierIndex().CheckConsistent(); err != nil {
+				t.Fatalf("tier index: %v", err)
+			}
+			// The refused PlaceAt consumed seq 1: seq 2 applies at once.
+			released := make(chan error, 1)
+			go func() {
+				if cfg.Ordered {
+					released <- svc.ReleaseAt(2, held.Entries)
+				} else {
+					released <- svc.Release(held.Entries)
+				}
+			}()
+			select {
+			case err := <-released:
+				if err != nil {
+					t.Fatalf("release: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("release after refusal never applied")
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			for j, a := range inv.Available() {
+				if a != 60 {
+					t.Fatalf("Available[%d] = %d after release, want 60", j, a)
+				}
+			}
+		})
+	}
 }

@@ -2,7 +2,7 @@
 // concurrent placement front-end of internal/service at increasing client
 // concurrency. Each client iteration is one place + one release round
 // trip, so the plant stays at a small steady-state load and the figure
-// isolates the serving pipeline (intake → batcher → single-writer apply)
+// isolates the serving pipeline (intake → single-writer apply → reply)
 // rather than queueing behaviour. BenchmarkService feeds
 // BENCH_service.json (make bench-service).
 package bench
