@@ -26,8 +26,12 @@ vet:
 # singlewriter — see DESIGN.md §10 and §15) plus staticcheck and
 # govulncheck when installed. CI installs the pinned versions via
 # lint-tools; offline checkouts skip the external tools with a notice so
-# `make lint` stays runnable anywhere.
+# `make lint` stays runnable anywhere. gofmt comes with the toolchain, so
+# an unformatted file always fails the gate.
 lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt: unformatted files:"; echo "$$out"; exit 1; \
+	fi
 	$(GO) run ./cmd/affinitylint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
@@ -55,12 +59,14 @@ lint-json:
 
 # Native fuzz targets, ~10s each: topology JSON import (reject or
 # round-trip, never panic), Algorithm 1 placement (capacity respected,
-# evaluator DC(C) matches the row-scan oracle), and service op sequences
-# (the service agrees op by op with a sequential inventory+placer replay).
+# evaluator DC(C) matches the row-scan oracle), service op sequences
+# (the service agrees op by op with a sequential inventory+placer replay),
+# and the trace reader (reject, or re-write and re-read to equal records).
 fuzz-smoke:
 	$(GO) test ./internal/topology -run '^$$' -fuzz '^FuzzTopologyImportJSON$$' -fuzztime 10s
 	$(GO) test ./internal/placement -run '^$$' -fuzz '^FuzzPlaceRequest$$' -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz '^FuzzServiceOps$$' -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 10s
 
 # Run every examples/* program end to end; each finishes in seconds.
 # `go build ./...` only compiles them.

@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"affinitycluster/internal/affinity"
+	"affinitycluster/internal/inventory"
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/placement"
 	"affinitycluster/internal/sdexact"
@@ -85,6 +86,9 @@ func run(in string, exact bool, strategy string) error {
 	if len(p.Capacities) != topo.Nodes() {
 		return fmt.Errorf("capacities has %d rows, plant has %d nodes", len(p.Capacities), topo.Nodes())
 	}
+	if err := validate(p); err != nil {
+		return err
+	}
 
 	var placer placement.Placer
 	switch strategy {
@@ -113,6 +117,25 @@ func run(in string, exact bool, strategy string) error {
 		}
 		fmt.Println()
 		printAllocation(topo, "exact-sd", res.Alloc)
+	}
+	return nil
+}
+
+// validate rejects problems the placers would index out of range on or
+// silently mis-place: ragged or negative capacity rows (checked by the
+// inventory's own constructor), rows whose width differs from the
+// request's type count, and negative request entries.
+func validate(p problem) error {
+	if _, err := inventory.NewFromMatrix(p.Capacities); err != nil {
+		return err
+	}
+	if w := len(p.Capacities[0]); w != len(p.Request) {
+		return fmt.Errorf("capacity rows have %d types, request has %d", w, len(p.Request))
+	}
+	for j, k := range p.Request {
+		if k < 0 {
+			return fmt.Errorf("request has negative count %d for type %d", k, j)
+		}
 	}
 	return nil
 }

@@ -66,4 +66,19 @@ func TestRunErrors(t *testing.T) {
 	if err := run(tooBig, false, "online"); err == nil {
 		t.Error("infeasible request accepted")
 	}
+	// Malformed shapes and signs are rejected before any strategy runs:
+	// each used to panic or "succeed" under at least one of them.
+	for _, tc := range []struct{ name, doc string }{
+		{"row narrower than request", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1],[1,1]],"request":[1,1]}`},
+		{"request narrower than rows", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,1],[1,1]],"request":[1]}`},
+		{"negative request", `{"racksPerCloud":1,"nodesPerRack":2,"request":[-1,2]}`},
+		{"negative capacity", `{"racksPerCloud":1,"nodesPerRack":2,"capacities":[[1,-4],[1,1]],"request":[1,1]}`},
+	} {
+		path := writeProblem(t, tc.doc)
+		for _, strategy := range []string{"online", "firstfit", "roundrobin", "pack"} {
+			if err := run(path, false, strategy); err == nil {
+				t.Errorf("%s accepted by %s", tc.name, strategy)
+			}
+		}
+	}
 }

@@ -52,12 +52,6 @@ type DistanceEvaluator struct {
 	active    []int               // racks with rackW > 0, unordered
 	rackPos   []int               // index of rack in active, -1 when inactive
 
-	// Sums of squared totals at each aggregation level, kept incrementally
-	// for the O(1) pairwise-affinity closed form.
-	ssNode  int // Σ_i w_i²
-	ssRack  int // Σ_r rackW_r²
-	ssCloud int // Σ_c cloudW_c²
-
 	// Scan scratch, reused across Distance/MovePreview calls.
 	scanRacks []int
 	scanLB    []float64
@@ -107,7 +101,6 @@ func (e *DistanceEvaluator) Reset(a Allocation) {
 	e.hosts = e.hosts[:0]
 	e.active = e.active[:0]
 	e.total = 0
-	e.ssNode, e.ssRack, e.ssCloud = 0, 0, 0
 	for i := range a {
 		if v := model.Sum(a[i]); v > 0 {
 			e.AddVMs(topology.NodeID(i), v)
@@ -139,9 +132,6 @@ func (e *DistanceEvaluator) AddVMs(i topology.NodeID, count int) {
 	}
 	r := e.t.RackOf(i)
 	c := e.t.CloudOf(i)
-	e.ssNode += count * (2*e.w[i] + count)
-	e.ssRack += count * (2*e.rackW[r] + count)
-	e.ssCloud += count * (2*e.cloudW[c] + count)
 	if e.w[i] == 0 {
 		insertSorted(&e.hosts, i)
 		insertSorted(&e.rackHosts[r], i)
@@ -164,9 +154,6 @@ func (e *DistanceEvaluator) Remove(i topology.NodeID) {
 	}
 	r := e.t.RackOf(i)
 	c := e.t.CloudOf(i)
-	e.ssNode -= 2*e.w[i] - 1
-	e.ssRack -= 2*e.rackW[r] - 1
-	e.ssCloud -= 2*e.cloudW[c] - 1
 	e.w[i]--
 	e.rackW[r]--
 	e.cloudW[c]--
@@ -522,44 +509,6 @@ func (e *DistanceEvaluator) MoveDelta(p, q topology.NodeID) float64 {
 	after, _ := e.MovePreview(p, q)
 	before, _ := e.Distance()
 	return after - before
-}
-
-// PairwiseAffinity computes the all-pairs distance metric of the paper's
-// experimental section in O(1) from the aggregate square sums: the number
-// of unordered VM pairs at each tier is a difference of squared totals.
-func (e *DistanceEvaluator) PairwiseAffinity() float64 {
-	d := e.t.Distances()
-	tot := e.total
-	return d.SameNode*float64(e.ssNode-tot)/2 +
-		d.SameRack*float64(e.ssRack-e.ssNode)/2 +
-		d.CrossRack*float64(e.ssCloud-e.ssRack)/2 +
-		d.CrossCloud*float64(tot*tot-e.ssCloud)/2
-}
-
-// PairwiseMoveDelta returns the exact change in PairwiseAffinity caused by
-// relocating one VM from p to q, in O(1) and without mutating: only the
-// square sums of the touched node/rack/cloud totals shift.
-func (e *DistanceEvaluator) PairwiseMoveDelta(p, q topology.NodeID) float64 {
-	if e.w[p] <= 0 {
-		panic(fmt.Sprintf("affinity: PairwiseMoveDelta(%d, %d) from empty node", p, q))
-	}
-	if p == q {
-		return 0
-	}
-	d := e.t.Distances()
-	// (x−1)²−x² = 1−2x and (x+1)²−x² = 2x+1 at each aggregation level.
-	dNode := 2*(e.w[q]-e.w[p]) + 2
-	dRack, dCloud := 0, 0
-	if rp, rq := e.t.RackOf(p), e.t.RackOf(q); rp != rq {
-		dRack = 2*(e.rackW[rq]-e.rackW[rp]) + 2
-	}
-	if cp, cq := e.t.CloudOf(p), e.t.CloudOf(q); cp != cq {
-		dCloud = 2*(e.cloudW[cq]-e.cloudW[cp]) + 2
-	}
-	return d.SameNode*float64(dNode)/2 +
-		d.SameRack*float64(dRack-dNode)/2 +
-		d.CrossRack*float64(dCloud-dRack)/2 +
-		d.CrossCloud*float64(-dCloud)/2
 }
 
 // DistanceOf computes Definition 1 once for per-node VM totals w restricted

@@ -353,15 +353,15 @@ func New(tp *topology.Topology, inv *inventory.Inventory, placer placement.Place
 	s.queue.Instrument(cfg.Obs)
 	if cfg.Obs != nil {
 		s.om = simMetrics{
-			served:           cfg.Obs.Counter("cloudsim.served"),
-			rejected:         cfg.Obs.Counter("cloudsim.rejected"),
-			releaseFailures:  cfg.Obs.Counter("cloudsim.release_failures"),
-			migrationMoves:   cfg.Obs.Counter("cloudsim.migration_moves"),
-			migrationAborts:  cfg.Obs.Counter("cloudsim.migration_aborted"),
-			running:          cfg.Obs.Gauge("cloudsim.running_clusters"),
-			usedSlots:        cfg.Obs.Gauge("cloudsim.used_slots"),
-			waitSeconds:      cfg.Obs.Histogram("cloudsim.wait_seconds", 0, 200, 20),
-			placementDC:      cfg.Obs.Histogram("cloudsim.placement_dc", 0, 200, 20),
+			served:          cfg.Obs.Counter("cloudsim.served"),
+			rejected:        cfg.Obs.Counter("cloudsim.rejected"),
+			releaseFailures: cfg.Obs.Counter("cloudsim.release_failures"),
+			migrationMoves:  cfg.Obs.Counter("cloudsim.migration_moves"),
+			migrationAborts: cfg.Obs.Counter("cloudsim.migration_aborted"),
+			running:         cfg.Obs.Gauge("cloudsim.running_clusters"),
+			usedSlots:       cfg.Obs.Gauge("cloudsim.used_slots"),
+			waitSeconds:     cfg.Obs.Histogram("cloudsim.wait_seconds", 0, 200, 20),
+			placementDC:     cfg.Obs.Histogram("cloudsim.placement_dc", 0, 200, 20),
 		}
 		if cfg.Faults.Enabled() {
 			// Fault metrics are registered only for fault scenarios so

@@ -5,7 +5,7 @@
 //
 // Every commission requests a grow of ceil(GrowFactor·v_j) VMs per
 // requested type, placed near the cluster's current center with
-// placement.PlaceDelta so the merged DC(C) stays tight. Admission is
+// placement.PlaceDeltaSparse so the merged DC(C) stays tight. Admission is
 // deadline-aware: the grown VMs must serve at least MinPayoff seconds
 // before the shrink boundary at arrival + MapFrac·Hold, or the grow is
 // rejected outright; grows that do not currently fit — or that would

@@ -32,12 +32,12 @@ func elasticCfg() ElasticConfig {
 func TestElasticValidation(t *testing.T) {
 	tp, inv := plant(t)
 	bad := []Config{
-		{Elastic: ElasticConfig{Enabled: true, MapFrac: 0.4}},                                  // GrowFactor unset
-		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5}},                               // MapFrac unset
-		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5, MapFrac: 1}},                   // boundary at departure
-		{Elastic: elasticCfg(), Batch: true},                                                   // per-request only
-		{Elastic: elasticCfg(), Migrate: true},                                                 // per-request only
-		{Elastic: elasticCfg(), BatchWindow: 3},                                                // per-request only
+		{Elastic: ElasticConfig{Enabled: true, MapFrac: 0.4}},                // GrowFactor unset
+		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5}},             // MapFrac unset
+		{Elastic: ElasticConfig{Enabled: true, GrowFactor: 0.5, MapFrac: 1}}, // boundary at departure
+		{Elastic: elasticCfg(), Batch: true},                                 // per-request only
+		{Elastic: elasticCfg(), Migrate: true},                               // per-request only
+		{Elastic: elasticCfg(), BatchWindow: 3},                              // per-request only
 	}
 	for i, cfg := range bad {
 		if _, err := New(tp, inv, &placement.OnlineHeuristic{}, cfg); err == nil {

@@ -144,12 +144,14 @@ func (h eventHeap) Swap(i, j int) {
 	h[i].idx = i
 	h[j].idx = j
 }
+
 //lint:hotpath
 func (h *eventHeap) Push(x interface{}) {
 	ev := x.(*Event)
 	ev.idx = len(*h)
 	*h = append(*h, ev)
 }
+
 //lint:hotpath
 func (h *eventHeap) Pop() interface{} {
 	old := *h

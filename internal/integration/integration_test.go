@@ -1,8 +1,8 @@
 // Package integration ties the subsystems together end to end: the tests
 // here cross module boundaries on purpose — provisioning through the
 // placement service and executing MapReduce on the provisioned cluster, replaying
-// recorded traces through the cloud simulator, and placing on topologies
-// inferred from latency probes.
+// recorded traces through the cloud simulator, and cross-checking the
+// exact solvers at the paper plant's scale.
 package integration
 
 import (
@@ -18,7 +18,6 @@ import (
 	"affinitycluster/internal/model"
 	"affinitycluster/internal/netmodel"
 	"affinitycluster/internal/placement"
-	"affinitycluster/internal/probing"
 	"affinitycluster/internal/sdexact"
 	"affinitycluster/internal/service"
 	"affinitycluster/internal/topology"
@@ -167,52 +166,6 @@ func TestTraceRecordReplay(t *testing.T) {
 	if orig.Served != replay.Served || orig.TotalDistance != replay.TotalDistance ||
 		orig.MakeSpan != replay.MakeSpan {
 		t.Errorf("replay diverged: %+v vs %+v", orig, replay)
-	}
-}
-
-// TestInferredTopologyPlacementMatchesTruth places the same request on
-// the ground-truth topology and on the probe-inferred one; with clean
-// inference the distances agree up to the measured tier values.
-func TestInferredTopologyPlacementMatchesTruth(t *testing.T) {
-	truth, err := topology.Uniform(1, 3, 4, topology.DefaultDistances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sampler, err := probing.NewSampler(truth, 51, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := probing.NewEstimator(truth.Nodes(), probing.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sampler.Campaign(est, 6); err != nil {
-		t.Fatal(err)
-	}
-	inferred, err := est.InferTopology()
-	if err != nil {
-		t.Fatal(err)
-	}
-	caps, err := workload.RandomCapacities(52, truth.Nodes(), 2, workload.DefaultInventoryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := model.Request{5, 2}
-	h := &placement.OnlineHeuristic{}
-	onTruth, err := h.Place(truth, caps, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	onInferred, err := h.Place(inferred, caps, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Evaluate both allocations under the TRUE distances: placing on the
-	// inferred topology must not be worse than a whole distance tier.
-	dTruth, _ := onTruth.Distance(truth)
-	dInferred, _ := onInferred.Distance(truth)
-	if dInferred > dTruth+truth.Distances().SameRack {
-		t.Errorf("placement on inferred topology much worse: %v vs %v", dInferred, dTruth)
 	}
 }
 

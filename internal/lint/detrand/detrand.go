@@ -21,8 +21,6 @@ import (
 var SimPackages = map[string]bool{
 	"placement":   true,
 	"affinity":    true,
-	"anneal":      true,
-	"jointopt":    true,
 	"queue":       true,
 	"cloudsim":    true,
 	"faults":      true,
@@ -60,11 +58,11 @@ var banned = map[string]map[string]string{
 // randConstructors are the math/rand package-level functions that build
 // seeded generators rather than touching the shared global source.
 var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true,
-	"NewZipf":   true, // takes an explicit *Rand
+	"NewZipf":    true, // takes an explicit *Rand
 }
 
 // Analyzer is the detrand rule.

@@ -9,7 +9,7 @@ import (
 )
 
 func wallClock() time.Duration {
-	start := time.Now() // want `time\.Now in simulation package`
+	start := time.Now()      // want `time\.Now in simulation package`
 	return time.Since(start) // want `time\.Since in simulation package`
 }
 
@@ -18,7 +18,7 @@ func sleeper() {
 }
 
 func globalRand() int {
-	n := rand.Intn(10) // want `global math/rand\.Intn in simulation package`
+	n := rand.Intn(10)                 // want `global math/rand\.Intn in simulation package`
 	rand.Shuffle(n, func(i, j int) {}) // want `global math/rand\.Shuffle in simulation package`
 	return n
 }

@@ -36,7 +36,8 @@ func randomRequest(rng *rand.Rand, m, scale int) model.Request {
 }
 
 // TestPlaceDeltaEmptyEqualsPlace: growing an empty cluster IS placing —
-// PlaceDelta must reproduce Place bit for bit, center scan included.
+// PlaceDeltaSparse with no current entries must reproduce Place bit for
+// bit, center scan included.
 func TestPlaceDeltaEmptyEqualsPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
@@ -53,23 +54,24 @@ func TestPlaceDeltaEmptyEqualsPlace(t *testing.T) {
 		h := &OnlineHeuristic{Policy: ScanAllCenters}
 		r := randomRequest(rng, m, n)
 		want, wantErr := h.Place(tp, work, r)
-		empty := affinity.NewAllocation(n, m)
-		entries, _, _, gotErr := h.PlaceDelta(tp, work, empty, r)
+		idx, err := affinity.NewTierIndex(tp, work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sp affinity.SparseAlloc
+		_, _, gotErr := h.PlaceDeltaSparse(idx, nil, r, &sp)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("trial %d: PlaceDelta err %v, Place err %v", trial, gotErr, wantErr)
+			t.Fatalf("trial %d: PlaceDeltaSparse err %v, Place err %v", trial, gotErr, wantErr)
 		}
 		if gotErr != nil {
 			continue
 		}
 		got := affinity.NewAllocation(n, m)
-		for _, e := range entries {
+		for _, e := range sp.Entries {
 			got[e.Node][e.Type] += e.Count
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: empty-cluster PlaceDelta differs from Place\ngot  %v\nwant %v", trial, got, want)
-		}
-		if !reflect.DeepEqual(empty, want) {
-			t.Fatalf("trial %d: PlaceDelta did not extend alloc in place", trial)
+			t.Fatalf("trial %d: empty-cluster PlaceDeltaSparse differs from Place\ngot  %v\nwant %v", trial, got, want)
 		}
 	}
 }
@@ -106,6 +108,7 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 				work[i][j] -= k
 			}
 		}
+		var sp affinity.SparseAlloc
 		for step := 0; step < 8; step++ {
 			delta := randomRequest(rng, m, 4)
 			// Oracle: fill delta around the cluster's current center on a
@@ -122,20 +125,29 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 			}
 			wantDC, wantK := merged.Distance(tp)
 
-			before := cluster.Clone()
-			entries, dc, k, err := h.PlaceDelta(tp, work, cluster, delta)
+			// A fresh index over the current free capacity, as a caller
+			// without a persistent one would build.
+			idx, err := affinity.NewTierIndex(tp, work)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := cluster.Sparse()
+			before := append([]affinity.VMEntry(nil), cur...)
+			dc, k, err := h.PlaceDeltaSparse(idx, cur, delta, &sp)
 			if err != nil {
 				if okOracle {
-					t.Fatalf("trial %d step %d: PlaceDelta failed (%v) where oracle built", trial, step, err)
+					t.Fatalf("trial %d step %d: PlaceDeltaSparse failed (%v) where oracle built", trial, step, err)
 				}
-				if !reflect.DeepEqual(cluster, before) {
-					t.Fatalf("trial %d step %d: failed PlaceDelta mutated the cluster", trial, step)
+				if !reflect.DeepEqual(cur, before) {
+					t.Fatalf("trial %d step %d: failed PlaceDeltaSparse mutated the cluster entries", trial, step)
 				}
 				break
 			}
+			entries := sp.Entries
 			gotDelta := affinity.NewAllocation(n, m)
 			for _, e := range entries {
 				gotDelta[e.Node][e.Type] += e.Count
+				cluster[e.Node][e.Type] += e.Count
 			}
 			if !reflect.DeepEqual(gotDelta, oracleDelta) {
 				t.Fatalf("trial %d step %d: delta build differs from dense oracle around center %d\ngot  %v\nwant %v\ndelta %v",
@@ -145,7 +157,7 @@ func TestPlaceDeltaLockstepOracleProperty(t *testing.T) {
 				t.Fatalf("trial %d step %d: merged score (%v, %d), scratch (%v, %d)", trial, step, dc, k, wantDC, wantK)
 			}
 			if !reflect.DeepEqual(cluster, merged) {
-				t.Fatalf("trial %d step %d: in-place extension diverged from merge", trial, step)
+				t.Fatalf("trial %d step %d: merged cluster diverged from the oracle merge", trial, step)
 			}
 			for _, e := range entries {
 				work[e.Node][e.Type] -= e.Count

@@ -113,8 +113,8 @@ type OnlineHeuristic struct {
 	// scanPool recycles the indexed-scan scratch (see tierscan.go), keyed
 	// by topology identity and type count.
 	scanPool sync.Pool
-	// densePool recycles the transient tier index the dense entry points
-	// rebuild over their caller's capacity matrix.
+	// densePool recycles the transient tier index the dense Place
+	// rebuilds over its caller's capacity matrix.
 	densePool sync.Pool
 }
 

@@ -282,7 +282,7 @@ func (s *Service) ReleaseAt(seq uint64, entries []affinity.VMEntry) error {
 
 // Grow extends a previously committed cluster by delta VMs per type,
 // placed near the cluster's current center through the same single-writer
-// apply loop as Place (placement.PlaceDelta semantics: the merged DC and
+// apply loop as Place (placement.PlaceDeltaSparse semantics: the merged DC and
 // center are returned, and the returned Entries cover only the added
 // VMs — keep them, or fold them into the cluster's own entries, for the
 // eventual Release). entries must describe VMs the service committed and
